@@ -9,6 +9,7 @@
 #include "src/analysis/histogram.h"
 #include "src/analysis/rates.h"
 #include "src/analysis/summary.h"
+#include "src/trace/file.h"
 #include "src/workloads/linux_workloads.h"
 #include "src/workloads/vista_workloads.h"
 
@@ -397,6 +398,60 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param).name) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// Golden digests: every workload runs one simulated minute at seed 2008;
+// its trace, serialized as v2, must hash (FNV-1a 64) to the recorded
+// constant, and the simulator must have executed the recorded number of
+// events. Unlike the in-binary determinism checks above, these constants
+// pin the traces across commits: a change to the simulator, the kernels,
+// the workloads or the v2 codec that moves one byte of one trace fails
+// here. Re-record them only for an intended behaviour change.
+struct GoldenTrace {
+  NamedWorkload workload;
+  uint64_t digest;
+  uint64_t events;
+};
+
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+void PrintTo(const GoldenTrace& golden, std::ostream* os) { *os << golden.workload.name; }
+
+class WorkloadGoldenDigest : public ::testing::TestWithParam<GoldenTrace> {};
+
+TEST_P(WorkloadGoldenDigest, TraceMatchesRecordedDigest) {
+  const GoldenTrace& golden = GetParam();
+  WorkloadOptions options;
+  options.duration = kMinute;
+  options.seed = 2008;
+  TraceRun run = golden.workload.run(options);
+  TraceWriteOptions v2;
+  v2.version = kTraceFileVersionChunked;
+  const uint64_t digest = Fnv1a64(SerializeTrace(run.records, run.callsites(), v2));
+  EXPECT_EQ(digest, golden.digest)
+      << golden.workload.name << " trace digest 0x" << std::hex << digest;
+  EXPECT_EQ(run.sim->events_executed(), golden.events) << golden.workload.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WorkloadGoldenDigest,
+    ::testing::Values(
+        GoldenTrace{{"linux_idle", RunLinuxIdle}, 0xa4ffb42d73ff4974ULL, 16230},
+        GoldenTrace{{"linux_skype", RunLinuxSkype}, 0xa787f751b9b52b66ULL, 18832},
+        GoldenTrace{{"linux_firefox", RunLinuxFirefox}, 0xd21d4091660aa546ULL, 32676},
+        GoldenTrace{{"linux_webserver", RunLinuxWebserver}, 0x12320e9b4d9845fdULL, 26438},
+        GoldenTrace{{"vista_idle", RunVistaIdle}, 0xaff6365deab9f306ULL, 4342},
+        GoldenTrace{{"vista_skype", RunVistaSkype}, 0xa42920e20c6fcddeULL, 5639},
+        GoldenTrace{{"vista_firefox", RunVistaFirefox}, 0xfbc478564dc1ef73ULL, 13237},
+        GoldenTrace{{"vista_webserver", RunVistaWebserver}, 0x236008ede93e148bULL, 4709},
+        GoldenTrace{{"vista_desktop", RunVistaDesktop}, 0x824d89eca031f294ULL, 26394}),
+    [](const auto& test) { return std::string(test.param.workload.name); });
 
 }  // namespace
 }  // namespace tempo
