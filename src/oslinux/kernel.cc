@@ -10,22 +10,16 @@ LinuxKernel::LinuxKernel(Simulator* sim, TraceSink* sink)
     : LinuxKernel(sim, sink, Options{}) {}
 
 LinuxKernel::LinuxKernel(Simulator* sim, TraceSink* sink, Options options)
-    : LinuxKernel(&sim->domain(0), sink, options) {}
-
-LinuxKernel::LinuxKernel(ClockDomain* domain, TraceSink* sink)
-    : LinuxKernel(domain, sink, Options{}) {}
-
-LinuxKernel::LinuxKernel(ClockDomain* domain, TraceSink* sink, Options options)
-    : domain_(domain), sink_(sink), options_(options) {}
+    : sim_(sim), sink_(sink), options_(options) {}
 
 void LinuxKernel::Boot() {
   assert(!booted_);
   booted_ = true;
-  jiffies_ = TimeToJiffies(domain_->Now());
+  jiffies_ = TimeToJiffies(sim_->Now());
   ScheduleNextTick();
 }
 
-Jiffies LinuxKernel::jiffies() const { return TimeToJiffies(domain_->Now()); }
+Jiffies LinuxKernel::jiffies() const { return TimeToJiffies(sim_->Now()); }
 
 LinuxTimer* LinuxKernel::InitTimer(const std::string& callsite, std::function<void()> fn,
                                    Pid pid, Tid tid, bool deferrable, CallsiteId parent) {
@@ -46,7 +40,7 @@ LinuxTimer* LinuxKernel::InitTimer(const std::string& callsite, std::function<vo
 void LinuxKernel::Log(TimerOp op, const LinuxTimer& t, SimDuration timeout, SimTime expiry,
                       uint16_t extra_flags) {
   TraceRecord r;
-  r.timestamp = domain_->Now();
+  r.timestamp = sim_->Now();
   r.timer = t.id;
   r.timeout = timeout;
   r.expiry = expiry;
@@ -67,7 +61,7 @@ void LinuxKernel::Log(TimerOp op, const LinuxTimer& t, SimDuration timeout, SimT
 
 void LinuxKernel::Arm(LinuxTimer* timer, Jiffies expires, SimDuration observed_timeout,
                       uint16_t extra_flags) {
-  const SimTime now = domain_->Now();
+  const SimTime now = sim_->Now();
   const Jiffies now_jiffies = jiffies();
   if (expires <= now_jiffies) {
     expires = now_jiffies + 1;  // the wheel never fires in the past
@@ -114,7 +108,7 @@ void LinuxKernel::ForgetWakeup(const LinuxTimer& timer) {
 }
 
 void LinuxKernel::ModTimer(LinuxTimer* timer, Jiffies expires, bool rounded) {
-  const SimTime now = domain_->Now();
+  const SimTime now = sim_->Now();
   const Jiffies now_jiffies = jiffies();
   const Jiffies effective = expires <= now_jiffies ? now_jiffies + 1 : expires;
   const SimDuration observed = JiffiesToTime(effective) - now;
@@ -131,10 +125,10 @@ void LinuxKernel::ModTimerRelative(LinuxTimer* timer, SimDuration timeout, bool 
   // The caller computed the absolute expiry "some time ago": at the
   // __mod_timer tracepoint the observed relative value exhibits up to ~2 ms
   // of conversion jitter (Section 3.1). The expiry itself stays exact.
-  SimDuration observed = JiffiesToTime(effective) - domain_->Now();
-  if (options_.max_set_jitter > 0 && domain_->rng().Bernoulli(options_.jitter_probability)) {
+  SimDuration observed = JiffiesToTime(effective) - sim_->Now();
+  if (options_.max_set_jitter > 0 && sim_->rng().Bernoulli(options_.jitter_probability)) {
     const SimDuration jitter = static_cast<SimDuration>(
-        domain_->rng().Uniform(0, static_cast<double>(options_.max_set_jitter)));
+        sim_->rng().Uniform(0, static_cast<double>(options_.max_set_jitter)));
     observed = std::max<SimDuration>(0, observed - jitter);
   }
   Arm(timer, expires, observed, round ? kFlagRounded : uint16_t{0});
@@ -176,7 +170,7 @@ LinuxHrTimer* LinuxKernel::InitHrTimer(const std::string& callsite, std::functio
 
 void LinuxKernel::LogHr(TimerOp op, const LinuxHrTimer& t, SimDuration timeout, SimTime expiry) {
   TraceRecord r;
-  r.timestamp = domain_->Now();
+  r.timestamp = sim_->Now();
   r.timer = t.id;
   r.timeout = timeout;
   r.expiry = expiry;
@@ -193,7 +187,7 @@ void LinuxKernel::LogHr(TimerOp op, const LinuxHrTimer& t, SimDuration timeout, 
 }
 
 void LinuxKernel::StartHrTimer(LinuxHrTimer* timer, SimDuration timeout) {
-  const SimTime now = domain_->Now();
+  const SimTime now = sim_->Now();
   if (timer->pending) {
     hr_tree_.Cancel(timer->tree_handle);
   }
@@ -224,13 +218,13 @@ bool LinuxKernel::CancelHrTimer(LinuxHrTimer* timer) {
 }
 
 void LinuxKernel::OnHrInterrupt() {
-  const SimTime now = domain_->Now();
-  domain_->cpu().OnInterrupt(now, /*timer=*/true);
+  const SimTime now = sim_->Now();
+  sim_->cpu().OnInterrupt(now, /*timer=*/true);
   hr_event_ = kInvalidEventId;
   hr_event_time_ = kNeverTime;
   hr_tree_.Advance(now);
   ReprogramHrEvent();
-  domain_->cpu().EnterIdle(now);
+  sim_->cpu().EnterIdle(now);
 }
 
 void LinuxKernel::ReprogramHrEvent() {
@@ -239,19 +233,19 @@ void LinuxKernel::ReprogramHrEvent() {
     return;
   }
   if (hr_event_ != kInvalidEventId) {
-    domain_->Cancel(hr_event_);
+    sim_->Cancel(hr_event_);
     hr_event_ = kInvalidEventId;
     hr_event_time_ = kNeverTime;
   }
   if (next != kNeverTime) {
-    hr_event_ = domain_->ScheduleAt(next, [this] { OnHrInterrupt(); });
+    hr_event_ = sim_->ScheduleAt(next, [this] { OnHrInterrupt(); });
     hr_event_time_ = next;
   }
 }
 
 void LinuxKernel::OnTick() {
-  const SimTime now = domain_->Now();
-  domain_->cpu().OnInterrupt(now, /*timer=*/true);
+  const SimTime now = sim_->Now();
+  sim_->cpu().OnInterrupt(now, /*timer=*/true);
   const Jiffies previous = jiffies_;
   jiffies_ = TimeToJiffies(now);
   if (jiffies_ > previous + 1) {
@@ -266,7 +260,7 @@ void LinuxKernel::OnTick() {
   wheel_.Advance(now);
   in_tick_ = false;
   ScheduleNextTick();
-  domain_->cpu().EnterIdle(now);
+  sim_->cpu().EnterIdle(now);
 }
 
 void LinuxKernel::ScheduleNextTick() {
@@ -283,7 +277,7 @@ void LinuxKernel::ScheduleNextTick() {
     }
   }
   tick_scheduled_for_ = next;
-  tick_event_ = domain_->ScheduleAt(JiffiesToTime(next), [this] { OnTick(); });
+  tick_event_ = sim_->ScheduleAt(JiffiesToTime(next), [this] { OnTick(); });
 }
 
 void LinuxKernel::ReprogramTickIfNeeded(Jiffies needed) {
@@ -294,12 +288,12 @@ void LinuxKernel::ReprogramTickIfNeeded(Jiffies needed) {
     return;
   }
   if (tick_event_ != kInvalidEventId) {
-    domain_->Cancel(tick_event_);
+    sim_->Cancel(tick_event_);
     tick_event_ = kInvalidEventId;
   }
   const Jiffies next = std::max(jiffies() + 1, needed);
   tick_scheduled_for_ = next;
-  tick_event_ = domain_->ScheduleAt(JiffiesToTime(next), [this] { OnTick(); });
+  tick_event_ = sim_->ScheduleAt(JiffiesToTime(next), [this] { OnTick(); });
 }
 
 }  // namespace tempo

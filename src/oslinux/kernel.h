@@ -81,24 +81,17 @@ class LinuxKernel {
     double jitter_probability = 0.35;
   };
 
-  // `sink` receives all trace records; it must outlive the kernel. The
-  // Simulator* overloads pin the kernel to domain 0 (the classic
-  // single-CPU layout); the ClockDomain* overload pins it to one simulated
-  // CPU of a multi-domain simulator — its clock interrupts, timer wheels
-  // and RNG draws all live on that domain's clock.
+  // `sink` receives all trace records; it must outlive the kernel. Clock
+  // interrupts, timer wheels and RNG draws all run on `sim`.
   LinuxKernel(Simulator* sim, TraceSink* sink);
   LinuxKernel(Simulator* sim, TraceSink* sink, Options options);
-  LinuxKernel(ClockDomain* domain, TraceSink* sink);
-  LinuxKernel(ClockDomain* domain, TraceSink* sink, Options options);
   LinuxKernel(const LinuxKernel&) = delete;
   LinuxKernel& operator=(const LinuxKernel&) = delete;
 
   // Starts the periodic tick. Must be called once before running.
   void Boot();
 
-  Simulator& sim() { return domain_->sim(); }
-  // The clock domain (simulated CPU) this kernel instance is pinned to.
-  ClockDomain& domain() { return *domain_; }
+  Simulator& sim() { return *sim_; }
   CallsiteRegistry& callsites() { return callsites_; }
   // Current jiffy count. Computed from virtual time so it never goes stale
   // while the periodic tick is suppressed (dynticks).
@@ -159,7 +152,7 @@ class LinuxKernel {
   void OnHrInterrupt();
   void ReprogramHrEvent();
 
-  ClockDomain* domain_;
+  Simulator* sim_;
   TraceSink* sink_;
   Options options_;
   CallsiteRegistry callsites_;

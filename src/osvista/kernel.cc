@@ -11,13 +11,7 @@ VistaKernel::VistaKernel(Simulator* sim, TraceSink* sink)
     : VistaKernel(sim, sink, Options{}) {}
 
 VistaKernel::VistaKernel(Simulator* sim, TraceSink* sink, Options options)
-    : VistaKernel(&sim->domain(0), sink, options) {}
-
-VistaKernel::VistaKernel(ClockDomain* domain, TraceSink* sink)
-    : VistaKernel(domain, sink, Options{}) {}
-
-VistaKernel::VistaKernel(ClockDomain* domain, TraceSink* sink, Options options)
-    : domain_(domain), sink_(sink), options_(options) {}
+    : sim_(sim), sink_(sink), options_(options) {}
 
 void VistaKernel::Boot() {
   assert(!booted_);
@@ -56,7 +50,7 @@ KTimer* VistaKernel::AllocateTimer(const std::string& callsite, Pid pid, Tid tid
 void VistaKernel::Log(TimerOp op, const KTimer& t, SimDuration timeout, SimTime expiry,
                       uint16_t extra_flags) {
   TraceRecord r;
-  r.timestamp = domain_->Now();
+  r.timestamp = sim_->Now();
   r.timer = t.id;
   r.timeout = timeout;
   r.expiry = expiry;
@@ -76,7 +70,7 @@ void VistaKernel::Log(TimerOp op, const KTimer& t, SimDuration timeout, SimTime 
 }
 
 void VistaKernel::KeSetTimer(KTimer* timer, SimDuration timeout) {
-  const SimTime now = domain_->Now();
+  const SimTime now = sim_->Now();
   if (timeout < 0) {
     timeout = 0;
   }
@@ -145,7 +139,7 @@ VistaKernel::Wait* VistaKernel::BlockThread(Pid pid, Tid tid, const std::string&
   wait->pid_ = pid;
   wait->tid_ = tid;
   wait->done_ = false;
-  wait->block_start_ = domain_->Now();
+  wait->block_start_ = sim_->Now();
   wait->timeout_ = timeout;
   wait->callsite_ = callsites_.Intern(callsite);
   wait->on_wake_ = std::move(on_wake);
@@ -210,7 +204,7 @@ bool VistaKernel::Signal(Wait* wait) {
 void VistaKernel::CompleteWait(Wait* wait, bool satisfied) {
   wait->done_ = true;
   TraceRecord r;
-  r.timestamp = domain_->Now();
+  r.timestamp = sim_->Now();
   r.timer = wait->timer_->id;
   r.timeout = wait->has_timeout_ ? wait->timeout_ : 0;
   r.expiry = wait->block_start_;  // unblock records carry the block start so
@@ -244,7 +238,7 @@ void VistaKernel::BeginTimerResolution(SimDuration period) {
   resolution_requests_.insert(period);
   // Take effect immediately: pull the next interrupt onto the finer grid.
   if (booted_ && tick_event_ != kInvalidEventId) {
-    domain_->Cancel(tick_event_);
+    sim_->Cancel(tick_event_);
     tick_event_ = kInvalidEventId;
     ScheduleNextTick();
   }
@@ -258,34 +252,34 @@ void VistaKernel::EndTimerResolution(SimDuration period) {
 }
 
 void VistaKernel::OnClockInterrupt() {
-  const SimTime now = domain_->Now();
-  domain_->cpu().OnInterrupt(now, /*timer=*/true);
+  const SimTime now = sim_->Now();
+  sim_->cpu().OnInterrupt(now, /*timer=*/true);
   ++clock_interrupts_;
   tick_event_ = kInvalidEventId;
   table_.Advance(now);
   ScheduleNextTick();
-  domain_->cpu().EnterIdle(now);
+  sim_->cpu().EnterIdle(now);
 }
 
 void VistaKernel::ScheduleNextTick() {
   const SimDuration tick = effective_tick();
-  SimTime next = domain_->Now() + tick;
+  SimTime next = sim_->Now() + tick;
   if (options_.coalesce_ticks) {
     const SimTime due = table_.NextExpiry();
     if (due == kNeverTime) {
       // Nothing pending: take one tick 16x out to keep the clock alive.
-      next = domain_->Now() + 16 * tick;
+      next = sim_->Now() + 16 * tick;
       ticks_coalesced_ += 15;
     } else if (due > next) {
       // Skip to the tick at or after the next due time.
       const uint64_t skip =
-          static_cast<uint64_t>((due - domain_->Now() + tick - 1) / tick);
+          static_cast<uint64_t>((due - sim_->Now() + tick - 1) / tick);
       ticks_coalesced_ += skip > 0 ? skip - 1 : 0;
-      next = domain_->Now() + static_cast<SimDuration>(skip) * tick;
+      next = sim_->Now() + static_cast<SimDuration>(skip) * tick;
     }
   }
   tick_scheduled_for_ = next;
-  tick_event_ = domain_->ScheduleAt(next, [this] { OnClockInterrupt(); });
+  tick_event_ = sim_->ScheduleAt(next, [this] { OnClockInterrupt(); });
 }
 
 void VistaKernel::MaybeReprogramTick(SimTime due) {
@@ -295,10 +289,10 @@ void VistaKernel::MaybeReprogramTick(SimTime due) {
   if (due >= tick_scheduled_for_) {
     return;
   }
-  domain_->Cancel(tick_event_);
-  const SimTime earliest = domain_->Now() + effective_tick();
+  sim_->Cancel(tick_event_);
+  const SimTime earliest = sim_->Now() + effective_tick();
   tick_scheduled_for_ = std::max(earliest, due);
-  tick_event_ = domain_->ScheduleAt(tick_scheduled_for_, [this] { OnClockInterrupt(); });
+  tick_event_ = sim_->ScheduleAt(tick_scheduled_for_, [this] { OnClockInterrupt(); });
 }
 
 }  // namespace tempo

@@ -67,23 +67,17 @@ class VistaKernel {
     Options() : clock_tick(kVistaClockTick), coalesce_ticks(false) {}
   };
 
-  // The Simulator* overloads pin the kernel to domain 0 (the classic
-  // single-CPU layout); the ClockDomain* overload pins it to one simulated
-  // CPU of a multi-domain simulator — its clock interrupt, timer table and
-  // RNG draws all live on that domain's clock.
+  // `sink` receives all trace records; it must outlive the kernel. The
+  // clock interrupt, timer table and RNG draws all run on `sim`.
   VistaKernel(Simulator* sim, TraceSink* sink);
   VistaKernel(Simulator* sim, TraceSink* sink, Options options);
-  VistaKernel(ClockDomain* domain, TraceSink* sink);
-  VistaKernel(ClockDomain* domain, TraceSink* sink, Options options);
   VistaKernel(const VistaKernel&) = delete;
   VistaKernel& operator=(const VistaKernel&) = delete;
 
   // Starts the clock interrupt.
   void Boot();
 
-  Simulator& sim() { return domain_->sim(); }
-  // The clock domain (simulated CPU) this kernel instance is pinned to.
-  ClockDomain& domain() { return *domain_; }
+  Simulator& sim() { return *sim_; }
   CallsiteRegistry& callsites() { return callsites_; }
 
   // --- KTIMER interface ---
@@ -148,7 +142,7 @@ class VistaKernel {
   // interrupt must pull the interrupt forward.
   void MaybeReprogramTick(SimTime due);
 
-  ClockDomain* domain_;
+  Simulator* sim_;
   TraceSink* sink_;
   Options options_;
   CallsiteRegistry callsites_;

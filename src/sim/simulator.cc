@@ -1,11 +1,5 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <cassert>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#include <tuple>
 #include <utility>
 
 #include "src/obs/probe.h"
@@ -24,48 +18,45 @@ uint64_t SimProbeClock() {
   return static_cast<uint64_t>(g_probe_clock_sim->Now());
 }
 
-// Derives domain i's RNG seed from the master seed. Domain 0 keeps the
-// master seed verbatim so a 1-CPU simulator reproduces the classic
-// single-threaded streams bit for bit; the others get SplitMix64-scrambled
-// independent streams.
-uint64_t DomainSeed(uint64_t seed, size_t index) {
-  if (index == 0) {
-    return seed;
+// State of one periodic series. The token returned to the caller is the
+// only shared_ptr; scheduled events hold weak_ptrs, so dropping the token
+// makes the next firing a no-op and the chain stops rescheduling.
+struct PeriodicState {
+  SimDuration period;
+  std::function<void()> fn;
+};
+
+void FirePeriodic(Simulator* sim, const std::weak_ptr<PeriodicState>& weak) {
+  std::shared_ptr<PeriodicState> state = weak.lock();
+  if (state == nullptr) {
+    return;  // token dropped: series canceled
   }
-  uint64_t z = seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(index);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  state->fn();
+  sim->ScheduleAfter(state->period, [sim, weak] { FirePeriodic(sim, weak); });
 }
 
 }  // namespace
 
 Simulator::Simulator(uint64_t seed) : Simulator(Options{.seed = seed}) {}
 
-Simulator::Simulator(const Options& options)
-    : lookahead_(std::max<SimDuration>(1, options.lookahead)) {
-  const size_t cpus = std::max<size_t>(1, options.cpus);
-  obs::Registry& reg = obs::Registry::Global();
-  domains_.reserve(cpus);
-  for (size_t i = 0; i < cpus; ++i) {
-    obs::Counter* events = nullptr;
-    obs::Gauge* hwm = nullptr;
-    if (!options.stats_label.empty()) {
-      const obs::Labels labels = {{"cpu", std::to_string(i)},
-                                  {"sim", options.stats_label}};
-      events = reg.GetCounter("sim_events_executed", labels,
-                              "Events executed by the sim event loop");
-      hwm = reg.GetGauge("sim_event_queue_depth_hwm", labels,
-                         "High-water mark of live events in the pending-event queue");
-      // The gauge is per-instance, not per-process: a fresh simulator
-      // re-baselines it so back-to-back sims sharing a label never report
-      // a stale high-water mark (two sims *alive at once* must still use
-      // distinct labels, like TimerService).
-      hwm->Set(0);
-    }
-    domains_.push_back(std::unique_ptr<ClockDomain>(
-        new ClockDomain(this, i, DomainSeed(options.seed, i), events, hwm)));
+Simulator::Simulator(const Options& options) : rng_(options.seed) {
+  if (options.stats_label.empty()) {
+    return;
   }
+  // The cpu="0" label names the one simulated CPU; scrapes and dashboards
+  // key on it.
+  const obs::Labels labels = {{"cpu", "0"}, {"sim", options.stats_label}};
+  obs::Registry& reg = obs::Registry::Global();
+  metric_events_ = reg.GetCounter("sim_events_executed", labels,
+                                  "Events executed by the sim event loop");
+  metric_queue_hwm_ =
+      reg.GetGauge("sim_event_queue_depth_hwm", labels,
+                   "High-water mark of live events in the pending-event queue");
+  // The gauge is per-instance, not per-process: a fresh simulator
+  // re-baselines it so back-to-back sims sharing a label never report a
+  // stale high-water mark (two sims *alive at once* must still use
+  // distinct labels, like TimerService).
+  metric_queue_hwm_->Set(0);
 }
 
 Simulator::~Simulator() {
@@ -75,271 +66,57 @@ Simulator::~Simulator() {
 }
 
 EventId Simulator::ScheduleAt(SimTime at, std::function<void()> fn) {
-  return domain(0).ScheduleAt(at, std::move(fn));
+  if (at < now_) {
+    at = now_;
+  }
+  const EventId id = queue_.Schedule(at, std::move(fn));
+  if (metric_queue_hwm_ != nullptr) {
+    metric_queue_hwm_->Max(static_cast<int64_t>(queue_.Size()));
+  }
+  return id;
 }
 
 EventId Simulator::ScheduleAfter(SimDuration delay, std::function<void()> fn) {
-  return domain(0).ScheduleAfter(delay, std::move(fn));
+  if (delay < 0) {
+    delay = 0;
+  }
+  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-bool Simulator::Cancel(EventId id) { return domain(0).Cancel(id); }
+bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
 Simulator::PeriodicToken Simulator::SchedulePeriodic(SimDuration period,
                                                      std::function<void()> fn) {
-  return domain(0).SchedulePeriodic(period, std::move(fn));
-}
-
-uint64_t Simulator::events_executed() const {
-  uint64_t total = 0;
-  for (const auto& d : domains_) {
-    total += d->events_executed_;
+  if (period <= 0) {
+    period = 1;
   }
-  return total;
-}
-
-size_t Simulator::PendingEvents() const {
-  size_t total = 0;
-  for (const auto& d : domains_) {
-    total += d->queue_.Size() + d->outbox_.size();
-  }
-  return total;
-}
-
-void Simulator::FinishCpus() {
-  for (auto& d : domains_) {
-    d->cpu_.Finish(d->now_);
-  }
-}
-
-bool Simulator::Step() {
-  ClockDomain& d0 = *domains_[0];
-  const SimTime next = d0.queue_.NextTime();
-  if (next == kNeverTime) {
-    return false;
-  }
-  // Publish the event's timestamp before running it, so probe-clock reads
-  // inside the callback see the firing time (classic semantics).
-  committed_now_.store(next, std::memory_order_relaxed);
-  d0.StepOne();
-  return true;
-}
-
-void Simulator::RunLegacy(SimTime deadline) {
-  // The classic event-at-a-time loop on the boot CPU, preserved exactly
-  // for single-CPU simulators (every trace produced before clock domains
-  // existed reproduces bit for bit).
-  ClockDomain& d0 = *domains_[0];
-  stop_.store(false, std::memory_order_relaxed);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const SimTime next = d0.queue_.NextTime();
-    if (next == kNeverTime || next > deadline) {
-      break;
-    }
-    Step();
-  }
-  if (deadline != kNeverTime && !stop_.load(std::memory_order_relaxed) &&
-      d0.now_ < deadline) {
-    d0.now_ = deadline;
-    committed_now_.store(deadline, std::memory_order_relaxed);
-  }
-  // Finalize idle accounting on every exit path — Run() used to skip this,
-  // making wakeup/idle stats disagree between the two drivers.
-  FinishCpus();
-}
-
-void Simulator::Run() {
-  if (domains_.size() == 1) {
-    RunLegacy(kNeverTime);
-    return;
-  }
-  RunWindows(kNeverTime, 1);
+  auto state = std::make_shared<PeriodicState>();
+  state->period = period;
+  state->fn = std::move(fn);
+  std::weak_ptr<PeriodicState> weak = state;
+  ScheduleAfter(period, [this, weak] { FirePeriodic(this, weak); });
+  return state;
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  if (domains_.size() == 1) {
-    RunLegacy(deadline);
-    return;
-  }
-  RunWindows(deadline, 1);
-}
-
-void Simulator::RunParallel(size_t threads) {
-  if (domains_.size() == 1) {
-    RunLegacy(kNeverTime);
-    return;
-  }
-  RunWindows(kNeverTime, threads == 0 ? domains_.size() : threads);
-}
-
-void Simulator::RunUntilParallel(SimTime deadline, size_t threads) {
-  if (domains_.size() == 1) {
-    RunLegacy(deadline);
-    return;
-  }
-  RunWindows(deadline, threads == 0 ? domains_.size() : threads);
-}
-
-size_t Simulator::DeliverMailboxes() {
-  struct Delivery {
-    size_t target;
-    SimTime at;
-    size_t sender;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  std::vector<Delivery> all;
-  for (size_t sender = 0; sender < domains_.size(); ++sender) {
-    for (ClockDomain::CrossPost& post : domains_[sender]->outbox_) {
-      all.push_back(Delivery{post.target, post.at, sender, post.seq, std::move(post.fn)});
+  stop_ = false;
+  while (!stop_) {
+    const SimTime next = queue_.NextTime();
+    if (next == kNeverTime || next > deadline) {
+      break;
     }
-    domains_[sender]->outbox_.clear();
-  }
-  // (time, sender, send order) per receiver: the delivery schedule is a
-  // pure function of what the domains posted, not of thread interleaving.
-  std::sort(all.begin(), all.end(), [](const Delivery& a, const Delivery& b) {
-    return std::tie(a.target, a.at, a.sender, a.seq) <
-           std::tie(b.target, b.at, b.sender, b.seq);
-  });
-  for (Delivery& d : all) {
-    ClockDomain& dom = *domains_[d.target];
-    // Post() clamps latency to the lookahead, so delivery can never land
-    // in the receiver's executed past.
-    assert(d.at >= dom.now_);
-    dom.ScheduleAt(d.at, std::move(d.fn));
-  }
-  return all.size();
-}
-
-namespace {
-
-// Barrier-style worker pool: the coordinator publishes one window limit per
-// generation, workers execute their (static, round-robin) share of the
-// domains, the coordinator waits for all of them. The mutex hand-offs give
-// the barrier the happens-before edges the domain state needs.
-class WindowPool {
- public:
-  // `exec` runs one domain up to the window limit; it must be callable
-  // concurrently for distinct domain indices.
-  WindowPool(size_t domain_count, size_t threads,
-             std::function<void(size_t, SimTime)> exec)
-      : exec_(std::move(exec)),
-        domain_count_(domain_count),
-        worker_count_(std::min(threads, domain_count)) {
-    workers_.reserve(worker_count_);
-    for (size_t w = 0; w < worker_count_; ++w) {
-      workers_.emplace_back([this, w] { WorkerLoop(w); });
+    EventQueue::Fired fired = queue_.Pop();
+    now_ = fired.at;
+    ++events_executed_;
+    if (metric_events_ != nullptr) {
+      metric_events_->Inc();
     }
+    fired.fn();
   }
-
-  WindowPool(const WindowPool&) = delete;
-  WindowPool& operator=(const WindowPool&) = delete;
-
-  ~WindowPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
+  if (deadline != kNeverTime && !stop_ && now_ < deadline) {
+    now_ = deadline;
   }
-
-  // Executes every domain up to `limit`; returns once all are done.
-  void RunWindow(SimTime limit) {
-    std::unique_lock<std::mutex> lock(mu_);
-    limit_ = limit;
-    pending_ = worker_count_;
-    ++generation_;
-    start_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  void WorkerLoop(size_t id) {
-    uint64_t seen = 0;
-    while (true) {
-      SimTime limit;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (shutdown_) {
-          return;
-        }
-        limit = limit_;
-      }
-      for (size_t d = id; d < domain_count_; d += worker_count_) {
-        exec_(d, limit);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) {
-          done_cv_.notify_one();
-        }
-      }
-    }
-  }
-
-  const std::function<void(size_t, SimTime)> exec_;
-  const size_t domain_count_;
-  const size_t worker_count_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;
-  size_t pending_ = 0;
-  SimTime limit_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
-}  // namespace
-
-void Simulator::RunWindows(SimTime deadline, size_t threads) {
-  stop_.store(false, std::memory_order_relaxed);
-  const bool drain = deadline == kNeverTime;
-  std::unique_ptr<WindowPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<WindowPool>(
-        domains_.size(), threads,
-        [this](size_t d, SimTime limit) { domains_[d]->ExecuteWindow(limit); });
-  }
-  while (!stop_.load(std::memory_order_relaxed)) {
-    DeliverMailboxes();
-    SimTime t = kNeverTime;
-    for (const auto& d : domains_) {
-      t = std::min(t, d->queue_.NextTime());
-    }
-    if (t == kNeverTime || (!drain && t > deadline)) {
-      break;  // outboxes were just drained, so nothing is in flight either
-    }
-    // The window is the half-open interval [t, t + lookahead): posts made
-    // inside it are delivered at >= t + lookahead, i.e. never into a
-    // window that is already executing.
-    committed_now_.store(t, std::memory_order_relaxed);
-    SimTime limit = t > kNeverTime - lookahead_ ? kNeverTime - 1 : t + lookahead_ - 1;
-    if (!drain) {
-      limit = std::min(limit, deadline);
-    }
-    if (pool != nullptr) {
-      pool->RunWindow(limit);
-    } else {
-      for (auto& d : domains_) {
-        d->ExecuteWindow(limit);
-      }
-    }
-  }
-  if (!drain && !stop_.load(std::memory_order_relaxed)) {
-    for (auto& d : domains_) {
-      if (d->now_ < deadline) {
-        d->now_ = deadline;
-      }
-    }
-    committed_now_.store(deadline, std::memory_order_relaxed);
-  }
-  FinishCpus();
+  cpu_.Finish(now_);
 }
 
 void InstallSimProbeClock(Simulator* sim) {

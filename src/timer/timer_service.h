@@ -106,9 +106,9 @@ class TimerService {
 
   // Advances a single shard (index taken modulo the shard count) to `now`,
   // skipping the lock when the shard's published deadline is not due.
-  // Returns the number fired. Thread-safe; this is the per-CPU driving
-  // interface — pin shard i to clock domain i and AdvanceAll's work really
-  // does run in parallel, one shard per simulated CPU.
+  // Returns the number fired. Thread-safe; this is the per-thread driving
+  // interface — give each driving thread its own shard (as C10MServer's
+  // lanes do) and AdvanceAll's work really does run in parallel.
   size_t AdvanceShard(size_t shard, SimTime now);
 
   // The published earliest deadline of one shard (modulo the shard count).

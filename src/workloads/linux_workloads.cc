@@ -26,12 +26,7 @@ LinuxBase MakeLinuxBase(const std::string& label, const WorkloadOptions& options
                         KernelSubsystemsOptions subsystem_options) {
   LinuxBase base;
   base.run.label = label;
-  {
-    Simulator::Options sim_options;
-    sim_options.seed = options.seed;
-    sim_options.cpus = options.cpus;
-    base.run.sim = std::make_unique<Simulator>(sim_options);
-  }
+  base.run.sim = std::make_unique<Simulator>(options.seed);
 
   auto buffer = std::make_unique<RelayBuffer>();
   buffer->AttachCpu(&base.run.sim->cpu());

@@ -80,10 +80,6 @@ struct WorkloadOptions {
   // shorter runs.
   SimDuration duration = 30 * kMinute;
   uint64_t seed = 1;
-  // Simulated CPUs (clock domains). The traced OS personality always boots
-  // on domain 0, so traces are seed-stable across cpu counts; extra domains
-  // carry background load and are available for RunParallel drivers.
-  size_t cpus = 1;
   // Kernel feature knobs for the Linux ablations (E19).
   bool dynticks = false;
   bool round_jiffies = false;

@@ -20,12 +20,7 @@ struct VistaBase {
 VistaBase MakeVistaBase(const std::string& label, const WorkloadOptions& options) {
   VistaBase base;
   base.run.label = label;
-  {
-    Simulator::Options sim_options;
-    sim_options.seed = options.seed;
-    sim_options.cpus = options.cpus;
-    base.run.sim = std::make_unique<Simulator>(sim_options);
-  }
+  base.run.sim = std::make_unique<Simulator>(options.seed);
 
   auto session = std::make_unique<EtwSession>();
   session->AttachCpu(&base.run.sim->cpu());

@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
   static const tools::FlagSpec kFlags[] = {
       {"minutes", 1, "M", "simulated duration (default 3)"},
       {"seed", 1, "S", "workload random seed (default 2008)"},
-      {"cpus", 1, "N", "simulated CPUs (clock domains) in the workload (default 1)"},
       {"format", 1, "text|json|prom|all", "snapshot format (default text)"},
       {"jobs", 1, "N", "trace-pipeline workers (0 = one per core; default 1)"},
       {"wall", 0, "", "measure real TSC cycles instead of the virtual clock"},
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
   const std::string format = args.Value("format", 0, "text");
   const double minutes = args.DoubleValue("minutes", 3.0);
   const uint64_t seed = args.UintValue("seed", 2008);
-  const uint64_t cpus = args.UintValue("cpus", 1);
   if (format != "text" && format != "json" && format != "prom" && format != "all") {
     std::fprintf(stderr, "error: unknown format %s\n", format.c_str());
     tools::PrintUsage(stderr, argv[0], "<workload>", kFlags, kWorkloadList);
@@ -184,7 +182,6 @@ int main(int argc, char** argv) {
   WorkloadOptions options;
   options.duration = FromSeconds(minutes * 60.0);
   options.seed = seed;
-  options.cpus = static_cast<size_t>(std::max<uint64_t>(1, cpus));
 
   // Keeps the workload's simulator/kernel alive until the snapshot is taken.
   TraceRun run;
