@@ -5,7 +5,7 @@
 // at the timescale of the observed latencies.
 //
 // Demonstrates the public API: Simulator + SimNetwork + RpcServer/RpcClient
-// for the substrate, AdaptiveTimeout + TimerService for the policy.
+// for the substrate, AdaptiveTimeout + TimerSurface for the policy.
 
 #include <cstdio>
 #include <memory>
@@ -21,7 +21,7 @@ using namespace tempo;
 // A client slot bound to one replica, with its own learned timeout.
 class ReplicaClient {
  public:
-  ReplicaClient(Simulator* sim, SimNetwork* net, TimerService* timers, NodeId self,
+  ReplicaClient(Simulator* sim, SimNetwork* net, TimerSurface* timers, NodeId self,
                 RpcServer* replica, const char* name)
       : sim_(sim), timers_(timers), replica_(replica), name_(name),
         rpc_(sim, net, self, NoRetryOptions()) {}
@@ -68,7 +68,7 @@ class ReplicaClient {
   }
 
   Simulator* sim_;
-  TimerService* timers_;
+  TimerSurface* timers_;
   RpcServer* replica_;
   const char* name_;
   RpcClient rpc_;

@@ -7,7 +7,7 @@ namespace tempo {
 
 // --- PeriodicTicker ---
 
-PeriodicTicker::PeriodicTicker(TimerService* service, SimDuration period,
+PeriodicTicker::PeriodicTicker(TimerSurface* service, SimDuration period,
                                std::function<void()> fn, SimDuration slack)
     : service_(service), period_(period), slack_(slack), fn_(std::move(fn)) {}
 
@@ -56,7 +56,7 @@ void PeriodicTicker::ArmNext() {
 
 // --- Watchdog ---
 
-Watchdog::Watchdog(TimerService* service, SimDuration timeout, std::function<void()> on_expire)
+Watchdog::Watchdog(TimerSurface* service, SimDuration timeout, std::function<void()> on_expire)
     : service_(service), timeout_(timeout), on_expire_(std::move(on_expire)) {}
 
 void Watchdog::Kick() {
@@ -82,7 +82,7 @@ void Watchdog::Stop() {
 
 // --- ScopedTimeout ---
 
-ScopedTimeout::ScopedTimeout(TimerService* service, SimDuration timeout,
+ScopedTimeout::ScopedTimeout(TimerSurface* service, SimDuration timeout,
                              std::function<void()> on_timeout)
     : service_(service) {
   current_ = service_->Arm(timeout, [this, cb = std::move(on_timeout)] {
@@ -103,7 +103,7 @@ ScopedTimeout::~ScopedTimeout() {
 
 // --- DeferredAction ---
 
-DeferredAction::DeferredAction(TimerService* service, SimDuration idle_period,
+DeferredAction::DeferredAction(TimerSurface* service, SimDuration idle_period,
                                std::function<void()> action)
     : service_(service), idle_period_(idle_period), action_(std::move(action)) {}
 

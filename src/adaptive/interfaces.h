@@ -34,7 +34,7 @@ class PeriodicTicker {
   // `slack`: permissible lateness. A ticker with non-zero slack maintains
   // the average frequency while tolerating local variation (Section 5.4),
   // allowing the service to batch it with other wakeups.
-  PeriodicTicker(TimerService* service, SimDuration period, std::function<void()> fn,
+  PeriodicTicker(TimerSurface* service, SimDuration period, std::function<void()> fn,
                  SimDuration slack = 0);
   ~PeriodicTicker() { Stop(); }
   PeriodicTicker(const PeriodicTicker&) = delete;
@@ -51,7 +51,7 @@ class PeriodicTicker {
  private:
   void ArmNext();
 
-  TimerService* service_;
+  TimerSurface* service_;
   SimDuration period_;
   SimDuration slack_;
   std::function<void()> fn_;
@@ -65,7 +65,7 @@ class PeriodicTicker {
 // Deadman switch.
 class Watchdog {
  public:
-  Watchdog(TimerService* service, SimDuration timeout, std::function<void()> on_expire);
+  Watchdog(TimerSurface* service, SimDuration timeout, std::function<void()> on_expire);
   ~Watchdog() { Stop(); }
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -79,7 +79,7 @@ class Watchdog {
   uint64_t expiries() const { return expiries_; }
 
  private:
-  TimerService* service_;
+  TimerSurface* service_;
   SimDuration timeout_;
   std::function<void()> on_expire_;
   ServiceTimerId current_ = kInvalidServiceTimer;
@@ -91,7 +91,7 @@ class Watchdog {
 // destruction) — the idiom Outlook wraps around UI upcalls (Section 2.2.1).
 class ScopedTimeout {
  public:
-  ScopedTimeout(TimerService* service, SimDuration timeout, std::function<void()> on_timeout);
+  ScopedTimeout(TimerSurface* service, SimDuration timeout, std::function<void()> on_timeout);
   ~ScopedTimeout();
   ScopedTimeout(const ScopedTimeout&) = delete;
   ScopedTimeout& operator=(const ScopedTimeout&) = delete;
@@ -99,7 +99,7 @@ class ScopedTimeout {
   bool expired() const { return expired_; }
 
  private:
-  TimerService* service_;
+  TimerSurface* service_;
   ServiceTimerId current_ = kInvalidServiceTimer;
   bool expired_ = false;
 };
@@ -107,7 +107,7 @@ class ScopedTimeout {
 // One-shot delay.
 class DelayTimer {
  public:
-  explicit DelayTimer(TimerService* service) : service_(service) {}
+  explicit DelayTimer(TimerSurface* service) : service_(service) {}
 
   // Schedules fn after `delay`; returns a cancelable id.
   ServiceTimerId After(SimDuration delay, std::function<void()> fn) {
@@ -116,7 +116,7 @@ class DelayTimer {
   bool Cancel(ServiceTimerId id) { return service_->Cancel(id); }
 
  private:
-  TimerService* service_;
+  TimerSurface* service_;
 };
 
 // Runs an action once its subject has been idle for `idle_period`. Touch()
@@ -126,7 +126,7 @@ class DelayTimer {
 // instead of re-setting a kernel timer on every activity burst.
 class DeferredAction {
  public:
-  DeferredAction(TimerService* service, SimDuration idle_period, std::function<void()> action);
+  DeferredAction(TimerSurface* service, SimDuration idle_period, std::function<void()> action);
   ~DeferredAction() { Cancel(); }
   DeferredAction(const DeferredAction&) = delete;
   DeferredAction& operator=(const DeferredAction&) = delete;
@@ -143,7 +143,7 @@ class DeferredAction {
   void ArmFor(SimDuration d);
   void OnTimer();
 
-  TimerService* service_;
+  TimerSurface* service_;
   SimDuration idle_period_;
   std::function<void()> action_;
   ServiceTimerId current_ = kInvalidServiceTimer;
@@ -159,7 +159,7 @@ class DeferredAction {
 // calls in its own timeout.
 class TimeoutStack {
  public:
-  explicit TimeoutStack(TimerService* service) : service_(service) {}
+  explicit TimeoutStack(TimerSurface* service) : service_(service) {}
 
   // Enters a scope with `timeout`; on_timeout fires only if this is the
   // binding (innermost-effective) timeout. Returns a token for Pop.
@@ -177,7 +177,7 @@ class TimeoutStack {
     SimTime deadline;
     ServiceTimerId timer;  // kInvalidServiceTimer if elided
   };
-  TimerService* service_;
+  TimerSurface* service_;
   std::vector<Frame> frames_;
   uint64_t next_token_ = 1;
   uint64_t armed_ = 0;

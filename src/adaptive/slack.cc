@@ -11,7 +11,7 @@ struct BatchingTimerService::Batch {
   std::vector<std::pair<ServiceTimerId, std::function<void()>>> members;
 };
 
-BatchingTimerService::BatchingTimerService(TimerService* base) : base_(base) {}
+BatchingTimerService::BatchingTimerService(TimerSurface* base) : base_(base) {}
 
 BatchingTimerService::~BatchingTimerService() = default;
 

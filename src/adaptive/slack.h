@@ -49,11 +49,11 @@ inline TimeSpec AfterDeviations(SimDuration mean, SimDuration stddev, double k,
   return TimeSpec::After(threshold, slack);
 }
 
-// Coalescing layer over a TimerService. Each underlying wakeup serves every
+// Coalescing layer over a TimerSurface. Each underlying wakeup serves every
 // pending request whose window contains the wakeup time.
 class BatchingTimerService {
  public:
-  explicit BatchingTimerService(TimerService* base);
+  explicit BatchingTimerService(TimerSurface* base);
   ~BatchingTimerService();
   BatchingTimerService(const BatchingTimerService&) = delete;
   BatchingTimerService& operator=(const BatchingTimerService&) = delete;
@@ -74,7 +74,7 @@ class BatchingTimerService {
   struct Batch;
   void FireBatch(Batch* batch);
 
-  TimerService* base_;
+  TimerSurface* base_;
   // Scheduled batches keyed by absolute wakeup time.
   std::map<SimTime, std::unique_ptr<Batch>> batches_;
   std::map<ServiceTimerId, Batch*> live_;

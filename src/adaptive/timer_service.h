@@ -25,9 +25,9 @@ inline constexpr ServiceTimerId kInvalidServiceTimer = 0;
 
 // The minimal set/cancel surface (the very interface the paper argues is
 // too low-level — everything in this module is built on top of it).
-class TimerService {
+class TimerSurface {
  public:
-  virtual ~TimerService() = default;
+  virtual ~TimerSurface() = default;
 
   // Arms a one-shot timer `timeout` from now.
   virtual ServiceTimerId Arm(SimDuration timeout, std::function<void()> fire) = 0;
@@ -42,8 +42,8 @@ class TimerService {
   virtual uint64_t arms() const = 0;
 };
 
-// TimerService over a bare simulator.
-class SimTimerService : public TimerService {
+// TimerSurface over a bare simulator.
+class SimTimerService : public TimerSurface {
  public:
   explicit SimTimerService(Simulator* sim) : sim_(sim) {}
 
@@ -59,9 +59,9 @@ class SimTimerService : public TimerService {
   uint64_t arms_ = 0;
 };
 
-// TimerService over the instrumented Linux kernel model: every Arm is a
+// TimerSurface over the instrumented Linux kernel model: every Arm is a
 // real (traced) kernel timer set from the given call-site.
-class LinuxTimerService : public TimerService {
+class LinuxTimerService : public TimerSurface {
  public:
   LinuxTimerService(LinuxKernel* kernel, const std::string& callsite, Pid pid);
 

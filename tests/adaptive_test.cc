@@ -148,7 +148,7 @@ TEST(AdaptiveTimeoutTest, RespectsMinMaxClamps) {
   EXPECT_EQ(timeout.Current(), kSecond);
 }
 
-// --- TimerService ---
+// --- TimerSurface ---
 
 TEST(SimTimerServiceTest, ArmFiresAndCancelWorks) {
   Simulator sim;
