@@ -69,20 +69,6 @@ std::unique_ptr<TimerQueue> MakeTimerQueue(const TimerQueueOptions& options) {
   return nullptr;
 }
 
-std::unique_ptr<TimerQueue> MakeTimerQueue(const std::string& name) {
-  TimerQueueOptions options;
-  options.name = name;
-  return MakeTimerQueue(options);
-}
-
-std::unique_ptr<TimerQueue> MakeTimerQueue(const std::string& name,
-                                           const std::string& stats_label) {
-  TimerQueueOptions options;
-  options.name = name;
-  options.stats_label = stats_label;
-  return MakeTimerQueue(options);
-}
-
 std::vector<std::string> TimerQueueNames() {
   return {"heap", "tree", "hashed_wheel", "hierarchical_wheel", "lawn"};
 }

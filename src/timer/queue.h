@@ -164,14 +164,6 @@ struct TimerQueueOptions {
 // Creates a queue from options. Returns nullptr for unknown names.
 std::unique_ptr<TimerQueue> MakeTimerQueue(const TimerQueueOptions& options);
 
-// Deprecated v1 factory overloads, kept as thin wrappers so out-of-tree
-// callers keep compiling. New code passes TimerQueueOptions.
-[[deprecated("pass TimerQueueOptions")]]
-std::unique_ptr<TimerQueue> MakeTimerQueue(const std::string& name);
-[[deprecated("pass TimerQueueOptions")]]
-std::unique_ptr<TimerQueue> MakeTimerQueue(const std::string& name,
-                                           const std::string& stats_label);
-
 // Names of all available implementations, for parameterised tests/benches
 // and for the shared --queue flag validation in tools/common.
 std::vector<std::string> TimerQueueNames();

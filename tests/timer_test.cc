@@ -320,21 +320,6 @@ TEST(TimerQueueFactoryTest, NamesListMatchesFactory) {
   }
 }
 
-// The deprecated v1 overloads must keep forwarding until out-of-tree
-// callers migrate.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TimerQueueFactoryTest, DeprecatedOverloadsStillForward) {
-  EXPECT_EQ(MakeTimerQueue("no_such_queue"), nullptr);
-  auto by_name = MakeTimerQueue("lawn");
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->Name(), "lawn");
-  auto by_label = MakeTimerQueue("heap", "heap-compat-label");
-  ASSERT_NE(by_label, nullptr);
-  EXPECT_EQ(by_label->Name(), "heap");
-}
-#pragma GCC diagnostic pop
-
 // --- v2 API surface, every backend ---
 
 TEST_P(TimerQueueTest, ReschedulePushesExpiryOut) {
