@@ -400,16 +400,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Golden digests: every workload runs one simulated minute at seed 2008;
-// its trace, serialized as v2, must hash (FNV-1a 64) to the recorded
-// constant, and the simulator must have executed the recorded number of
-// events. Unlike the in-binary determinism checks above, these constants
-// pin the traces across commits: a change to the simulator, the kernels,
-// the workloads or the v2 codec that moves one byte of one trace fails
-// here. Re-record them only for an intended behaviour change.
+// its trace, serialized as v2, as v3 and as v3 with the TempoLz block
+// codec, must hash (FNV-1a 64) to the recorded constants, and the
+// simulator must have executed the recorded number of events. Unlike the
+// in-binary determinism checks above, these constants pin the traces
+// across commits: a change to the simulator, the kernels, the workloads,
+// the v2 codec or the v3 stripe-codec choice that moves one byte of one
+// file fails here. Re-record them only for an intended behaviour change.
 struct GoldenTrace {
   NamedWorkload workload;
   uint64_t digest;
   uint64_t events;
+  uint64_t v3_digest;
+  uint64_t v3_lz_digest;
 };
 
 uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
@@ -437,20 +440,39 @@ TEST_P(WorkloadGoldenDigest, TraceMatchesRecordedDigest) {
   EXPECT_EQ(digest, golden.digest)
       << golden.workload.name << " trace digest 0x" << std::hex << digest;
   EXPECT_EQ(run.sim->events_executed(), golden.events) << golden.workload.name;
+
+  TraceWriteOptions v3;
+  v3.version = kTraceFileVersionColumnar;
+  const uint64_t v3_digest = Fnv1a64(SerializeTrace(run.records, run.callsites(), v3));
+  EXPECT_EQ(v3_digest, golden.v3_digest)
+      << golden.workload.name << " v3 digest 0x" << std::hex << v3_digest;
+  v3.block_codec = BlockCodecId::kTempoLz;
+  const uint64_t lz_digest = Fnv1a64(SerializeTrace(run.records, run.callsites(), v3));
+  EXPECT_EQ(lz_digest, golden.v3_lz_digest)
+      << golden.workload.name << " v3+lz digest 0x" << std::hex << lz_digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadGoldenDigest,
     ::testing::Values(
-        GoldenTrace{{"linux_idle", RunLinuxIdle}, 0xa4ffb42d73ff4974ULL, 16230},
-        GoldenTrace{{"linux_skype", RunLinuxSkype}, 0xa787f751b9b52b66ULL, 18832},
-        GoldenTrace{{"linux_firefox", RunLinuxFirefox}, 0xd21d4091660aa546ULL, 32676},
-        GoldenTrace{{"linux_webserver", RunLinuxWebserver}, 0x12320e9b4d9845fdULL, 26438},
-        GoldenTrace{{"vista_idle", RunVistaIdle}, 0xaff6365deab9f306ULL, 4342},
-        GoldenTrace{{"vista_skype", RunVistaSkype}, 0xa42920e20c6fcddeULL, 5639},
-        GoldenTrace{{"vista_firefox", RunVistaFirefox}, 0xfbc478564dc1ef73ULL, 13237},
-        GoldenTrace{{"vista_webserver", RunVistaWebserver}, 0x236008ede93e148bULL, 4709},
-        GoldenTrace{{"vista_desktop", RunVistaDesktop}, 0x824d89eca031f294ULL, 26394}),
+        GoldenTrace{{"linux_idle", RunLinuxIdle}, 0xa4ffb42d73ff4974ULL, 16230,
+                    0xaa675643cb636a04ULL, 0x839e8ce591810303ULL},
+        GoldenTrace{{"linux_skype", RunLinuxSkype}, 0xa787f751b9b52b66ULL, 18832,
+                    0x917687f7edffcbd6ULL, 0x4b29af528f818265ULL},
+        GoldenTrace{{"linux_firefox", RunLinuxFirefox}, 0xd21d4091660aa546ULL, 32676,
+                    0x0b034764d2e34cf7ULL, 0x1cecd44cf9af03f6ULL},
+        GoldenTrace{{"linux_webserver", RunLinuxWebserver}, 0x12320e9b4d9845fdULL, 26438,
+                    0xbb9fcc473c73039fULL, 0x828a7421b975bf38ULL},
+        GoldenTrace{{"vista_idle", RunVistaIdle}, 0xaff6365deab9f306ULL, 4342,
+                    0xc601d1361b817e68ULL, 0x4ffbdb633337283bULL},
+        GoldenTrace{{"vista_skype", RunVistaSkype}, 0xa42920e20c6fcddeULL, 5639,
+                    0x7617c02818b76f62ULL, 0x4d430b89de66bf81ULL},
+        GoldenTrace{{"vista_firefox", RunVistaFirefox}, 0xfbc478564dc1ef73ULL, 13237,
+                    0x83cf7add1106ec37ULL, 0x39b3ab4b55796ef0ULL},
+        GoldenTrace{{"vista_webserver", RunVistaWebserver}, 0x236008ede93e148bULL, 4709,
+                    0x8031623359de0ad9ULL, 0x845491cada0563a6ULL},
+        GoldenTrace{{"vista_desktop", RunVistaDesktop}, 0x824d89eca031f294ULL, 26394,
+                    0x935b54088c038146ULL, 0x29df8dabf423657eULL}),
     [](const auto& test) { return std::string(test.param.workload.name); });
 
 }  // namespace
