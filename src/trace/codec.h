@@ -50,15 +50,46 @@ enum class StripeCodec : uint8_t {
 // count, trailing garbage); kCodec: a codec id this build does not know.
 enum class ChunkParse : uint8_t { kOk = 0, kTruncated = 1, kCorrupt = 2, kCodec = 3 };
 
+// Reusable scratch for the v3 encoder, the twin of V3DecodeScratch: a
+// writer that keeps one encodes chunk after chunk without reallocating its
+// columns or its dictionary.
+struct V3EncodeScratch {
+  // One slot of the open-addressing dictionary table. A slot is occupied
+  // only while its generation is the scratch's current one, so each new
+  // column starts from an empty table without clearing it.
+  struct DictSlot {
+    uint64_t value = 0;
+    uint32_t index = 0;
+    uint32_t generation = 0;
+  };
+
+  std::vector<uint64_t> lanes[10];  // one column per field
+  std::vector<DictSlot> table;      // value -> dictionary index
+  uint32_t generation = 0;
+  std::vector<uint64_t> dict;       // distinct values, first-appearance order
+  std::vector<uint32_t> indexes;    // dictionary index of each value
+  std::vector<uint8_t> blob;        // stripes awaiting a block codec
+};
+
 // Appends `values` encoded with `codec` to `out`. kDict/kRle encodings are
 // deterministic (first-appearance dictionary order), which is what keeps
 // streamed and buffered v3 files byte-identical.
 void EncodeStripe(std::span<const uint64_t> values, StripeCodec codec,
                   std::vector<uint8_t>* out);
 
-// Encodes `values` with every candidate codec and appends the smallest
-// (ties break toward the lower codec id). Returns the winner.
-StripeCodec EncodeStripeBest(std::span<const uint64_t> values, std::vector<uint8_t>* out);
+// The exact length EncodeStripe(values, codec) appends, computed from the
+// values' bit widths without writing them. Sizing kDict builds the
+// dictionary in `scratch`.
+size_t StripeSize(std::span<const uint64_t> values, StripeCodec codec,
+                  V3EncodeScratch* scratch);
+
+// Appends `values` encoded with the codec whose encoding is smallest (ties
+// break toward the lower codec id) and returns that codec. The candidates
+// are sized, not encoded: one pass gives the varint, delta and run-length
+// sizes, raw is 8 bytes a value, and the dictionary is built only while it
+// can still win. Only the winner is written.
+StripeCodec EncodeStripeBest(std::span<const uint64_t> values, V3EncodeScratch* scratch,
+                             std::vector<uint8_t>* out);
 
 // Decodes exactly `count` values of a stripe encoded as `codec` from
 // [data, data + size). The stripe must consume `size` bytes exactly.
@@ -111,7 +142,7 @@ uint64_t PidDigestBit(Pid pid);
 // Encodes `records` as one self-contained v3 chunk (chunk header +
 // stripes, optionally block-compressed) appended to `out`; fills `zone`.
 void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_codec,
-                   std::vector<uint8_t>* out, ChunkZone* zone);
+                   V3EncodeScratch* scratch, std::vector<uint8_t>* out, ChunkZone* zone);
 
 // Reusable scratch for DecodeV3Chunk so a streaming reader does not
 // reallocate per chunk.

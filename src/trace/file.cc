@@ -120,6 +120,7 @@ void SerializeV3(const std::vector<TraceRecord>& records, uint32_t capacity,
   };
   std::vector<Entry> index;
   index.reserve(ChunkCountFor(records.size(), capacity));
+  V3EncodeScratch scratch;
   size_t next = 0;
   while (next < records.size()) {
     const size_t take = std::min<size_t>(capacity, records.size() - next);
@@ -127,7 +128,7 @@ void SerializeV3(const std::vector<TraceRecord>& records, uint32_t capacity,
     entry.offset = out->size();
     entry.records = static_cast<uint32_t>(take);
     EncodeV3Chunk(std::span<const TraceRecord>(records.data() + next, take),
-                  block_codec, out, &entry.zone);
+                  block_codec, &scratch, out, &entry.zone);
     entry.stored = static_cast<uint32_t>(out->size() - entry.offset);
     index.push_back(entry);
     next += take;

@@ -65,7 +65,7 @@ void TraceStreamWriter::FlushChunk() {
   if (version_ == kTraceFileVersionColumnar) {
     chunk_.clear();
     EncodeV3Chunk(std::span<const TraceRecord>(pending_.data(), pending_.size()),
-                  block_codec_, &chunk_, &entry.zone);
+                  block_codec_, &encode_scratch_, &chunk_, &entry.zone);
     pending_.clear();
   }
   entry.stored = chunk_.size();

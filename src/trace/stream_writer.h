@@ -82,6 +82,7 @@ class TraceStreamWriter {
   std::FILE* spill_ = nullptr;
   std::vector<uint8_t> chunk_;           // encoded bytes of the open chunk (v2)
   std::vector<TraceRecord> pending_;     // unencoded records of the open chunk (v3)
+  V3EncodeScratch encode_scratch_;       // v3 columns and dictionary, reused per chunk
   uint32_t chunk_records_ = 0;           // records in the open chunk
   uint64_t spill_bytes_ = 0;             // bytes already flushed to the spill
   std::vector<IndexEntry> index_;
