@@ -6,10 +6,13 @@
 // contains "paper") are marked, since those are the numbers the repo is
 // trying to reproduce.
 //
+// Every gate status is classified as pass, fail or skipped; the text
+// summary counts each and marks failing and skipped gates inline.
+//
 // Exit status: 0 when every input parsed, 1 when any file is missing or
 // not valid JSON (CI runs this over the committed BENCH files, so a
 // corrupt or hand-mangled result file fails the build), 2 for usage
-// errors.
+// errors. A failing gate is reported, not turned into a failing exit.
 
 #include <algorithm>
 #include <cctype>
@@ -373,19 +376,26 @@ int main(int argc, char** argv) {
         width = std::max(width, v.path.size());
       }
       for (const FlatValue& v : bench.values) {
-        const bool skipped = v.is_string && IsGateStatus(v.path) &&
-                             ClassifyGate(v.value) == GateState::kSkipped;
+        const char* mark = "";
+        if (v.is_string && IsGateStatus(v.path)) {
+          const GateState state = ClassifyGate(v.value);
+          mark = state == GateState::kSkipped ? "   [SKIPPED]"
+                 : state == GateState::kFail  ? "   [FAIL]"
+                                              : "";
+        }
         std::printf("  %-*s = %s%s%s\n", static_cast<int>(width), v.path.c_str(),
-                    v.value.c_str(), IsPaperRef(v.path) ? "   [paper]" : "",
-                    skipped ? "   [SKIPPED]" : "");
+                    v.value.c_str(), IsPaperRef(v.path) ? "   [paper]" : "", mark);
       }
     }
-    size_t skipped = 0;
+    size_t counts[3] = {};  // indexed by GateState
     for (const Gate& gate : gates) {
-      skipped += gate.state == GateState::kSkipped ? 1 : 0;
+      ++counts[static_cast<size_t>(gate.state)];
     }
     if (!gates.empty()) {
-      std::printf("\ngates: %zu total, %zu skipped\n", gates.size(), skipped);
+      std::printf("\ngates: %zu total, %zu pass, %zu fail, %zu skipped\n", gates.size(),
+                  counts[static_cast<size_t>(GateState::kPass)],
+                  counts[static_cast<size_t>(GateState::kFail)],
+                  counts[static_cast<size_t>(GateState::kSkipped)]);
     }
   }
   return rc;
