@@ -2,9 +2,13 @@
 //
 // Generates the paper-shaped synthetic trace (same generator as
 // micro_trace_pipeline), writes it as both chunked v2 and columnar v3,
-// and proves the three v3 claims:
+// and proves the four v3 claims:
 //
 //   size:      the v3 file is at most 0.5x the v2 file;
+//   encode:    serializing the trace as v3 costs at most 1.2x serializing
+//              it as v2, per record (best of three each): the writer sizes
+//              every stripe codec and writes only the winner, so a
+//              columnar file need not cost much more to write than rows;
 //   scan:      an analysis scan that declares the fields it reads (a
 //              per-op rate summary: timestamp + op) runs at least 2x
 //              faster from v3 than from v2, with byte-identical rendered
@@ -24,7 +28,7 @@
 // so the disk-versus-scan tradeoff stays visible.
 //
 // 8M records by default (TEMPO_QUICK=1 drops to 1M, TEMPO_SMOKE=1 to
-// 200k). Under TEMPO_SMOKE the two wall-clock/fraction gates report
+// 200k). Under TEMPO_SMOKE the wall-clock and fraction gates report
 // "skipped: smoke run" — identity checks are always enforced. Results go
 // to BENCH_trace_query.json in the working directory.
 
@@ -49,6 +53,7 @@ namespace tempo {
 namespace {
 
 constexpr double kScanSpeedupThreshold = 2.0;
+constexpr double kEncodeRatioThreshold = 1.2;
 constexpr double kSizeRatioThreshold = 0.5;
 constexpr double kSelectiveFractionThreshold = 0.10;
 // Small chunks: the v3 decode scratch stays cache-resident (the win
@@ -135,6 +140,25 @@ std::vector<TraceRecord> GenerateTrace(size_t count,
     records.push_back(r);
   }
   return records;
+}
+
+// Best-of-N wall time of SerializeTrace, in ns per record.
+double SerializeNsPerRecord(const std::vector<TraceRecord>& records,
+                            const CallsiteRegistry& callsites,
+                            const TraceWriteOptions& options, int reps) {
+  double best = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<uint8_t> bytes = SerializeTrace(records, callsites, options);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() /
+        static_cast<double>(records.size());
+    if (rep == 0 || ns < best) {
+      best = ns;
+    }
+  }
+  return best;
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -396,6 +420,8 @@ int main() {
   const std::string lz_path = "bench_trace_query_v3lz.trc";
   SimTime trace_begin = 0;
   SimTime trace_end = 0;
+  double v2_encode_ns = 0;
+  double v3_encode_ns = 0;
   {
     std::printf("generating synthetic trace...\n");
     auto records = GenerateTrace(record_count, sites);
@@ -418,7 +444,17 @@ int main() {
       std::fprintf(stderr, "error: cannot write %s\n", lz_path.c_str());
       return 1;
     }
+
+    // --- encode gate: in-memory serialize, v2 rows vs v3 columns -------
+    options.block_codec = BlockCodecId::kNone;
+    options.version = kTraceFileVersionChunked;
+    v2_encode_ns = SerializeNsPerRecord(records, callsites, options, kScanReps);
+    options.version = kTraceFileVersionColumnar;
+    v3_encode_ns = SerializeNsPerRecord(records, callsites, options, kScanReps);
   }  // the records vector dies here: everything below streams from disk
+  const double encode_ratio = v2_encode_ns > 0 ? v3_encode_ns / v2_encode_ns : 0;
+  std::printf("encode (serialize): v2 %.1f ns/rec, v3 %.1f ns/rec (%.2fx)\n", v2_encode_ns,
+              v3_encode_ns, encode_ratio);
 
   const uint64_t v2_bytes = FileBytes(v2_path);
   const uint64_t v3_bytes = FileBytes(v3_path);
@@ -507,14 +543,17 @@ int main() {
   // skipped rather than vacuously passed.
   const bool identities_ok = scan_identical && decode_identical && query_identical;
   std::string scan_status;
+  std::string encode_status;
   std::string size_status;
   std::string selective_status;
   bool gate_failed = false;
   if (smoke) {
     scan_status = "skipped: smoke run";
+    encode_status = "skipped: smoke run";
     selective_status = "skipped: smoke run";
   } else {
     scan_status = scan_speedup >= kScanSpeedupThreshold ? "pass" : "fail";
+    encode_status = encode_ratio <= kEncodeRatioThreshold ? "pass" : "fail";
     selective_status = chunk_fraction < kSelectiveFractionThreshold &&
                                byte_fraction < kSelectiveFractionThreshold
                            ? "pass"
@@ -522,9 +561,10 @@ int main() {
   }
   // The size ratio is scale-independent enough to gate even in smoke.
   size_status = size_ratio <= kSizeRatioThreshold ? "pass" : "fail";
-  gate_failed = scan_status == "fail" || size_status == "fail" ||
+  gate_failed = scan_status == "fail" || encode_status == "fail" || size_status == "fail" ||
                 selective_status == "fail";
   std::printf("scan gate (>=%.1fx): %s\n", kScanSpeedupThreshold, scan_status.c_str());
+  std::printf("encode gate (<=%.1fx): %s\n", kEncodeRatioThreshold, encode_status.c_str());
   std::printf("size gate (<=%.2fx): %s\n", kSizeRatioThreshold, size_status.c_str());
   std::printf("selective gate (<%.0f%% chunks and bytes): %s\n",
               kSelectiveFractionThreshold * 100, selective_status.c_str());
@@ -560,6 +600,10 @@ int main() {
                  v2_scan.millis, v3_scan.millis, decode_speedup,
                  decode_identical ? "true" : "false");
     std::fprintf(json,
+                 "  \"encode\": {\"v2_ns_per_record\": %.1f, \"v3_ns_per_record\": %.1f, "
+                 "\"ratio\": %.3f},\n",
+                 v2_encode_ns, v3_encode_ns, encode_ratio);
+    std::fprintf(json,
                  "  \"selective\": {\"chunks_decoded\": %llu, \"chunks_skipped\": %llu, "
                  "\"chunk_fraction\": %.4f, \"bytes_decoded\": %llu, "
                  "\"byte_fraction\": %.4f, \"identical\": %s},\n",
@@ -573,6 +617,10 @@ int main() {
                  "    \"scan\": {\"threshold\": %.1f, \"speedup\": %.3f, "
                  "\"status\": \"%s\"},\n",
                  kScanSpeedupThreshold, scan_speedup, scan_status.c_str());
+    std::fprintf(json,
+                 "    \"encode\": {\"threshold\": %.1f, \"ratio\": %.3f, "
+                 "\"status\": \"%s\"},\n",
+                 kEncodeRatioThreshold, encode_ratio, encode_status.c_str());
     std::fprintf(json,
                  "    \"size\": {\"threshold\": %.2f, \"ratio\": %.4f, "
                  "\"status\": \"%s\"},\n",
