@@ -91,6 +91,8 @@ TimerQueueStats TimerQueueStats::For(const std::string& queue) {
       reg.GetHistogram("timer_op_cycles", {{"queue", queue}, {"op", "cancel"}}, lat_help);
   stats.advance_cycles =
       reg.GetHistogram("timer_op_cycles", {{"queue", queue}, {"op", "advance"}}, lat_help);
+  stats.refresh_cycles =
+      reg.GetHistogram("timer_op_cycles", {{"queue", queue}, {"op", "refresh"}}, lat_help);
   return stats;
 }
 

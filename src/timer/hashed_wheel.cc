@@ -162,6 +162,7 @@ SimTime HashedWheelTimerQueue::NextExpiry() const {
     return kNeverTime;
   }
   if (!cache_valid_) {
+    obs::ScopedProbe probe(stats_.refresh_cycles);
     cached_next_tick_ = NextTickScan();
     cache_valid_ = true;
     ++next_expiry_scans_;

@@ -240,6 +240,7 @@ SimTime LawnTimerQueue::NextExpiry() const {
     return kNeverTime;
   }
   if (!cache_valid_) {
+    obs::ScopedProbe probe(stats_.refresh_cycles);
     // The minimum pending expiry is the minimum over the active FIFO heads:
     // O(k) in the number of distinct TTL buckets, independent of Size().
     SimTime best = kNeverTime;
