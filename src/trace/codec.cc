@@ -621,7 +621,9 @@ class TempoLzCodec : public BlockCodec {
           literal_len > static_cast<size_t>(q_end - q)) {
         return false;
       }
-      std::memcpy(q, p, literal_len);
+      if (literal_len > 0) {  // an empty buffer's `raw` may be null
+        std::memcpy(q, p, literal_len);
+      }
       p += literal_len;
       q += literal_len;
       if (p == end) {
