@@ -35,6 +35,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/net/server.h"
@@ -383,6 +384,8 @@ int main(int argc, char** argv) {
   if (out != nullptr) {
     std::fprintf(out, "{\n  \"experiment\": \"micro_c10m\",\n");
     std::fprintf(out, "  \"mode\": \"%s\",\n", mode);
+    std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(out, "  \"churn\": [\n");
     for (size_t i = 0; i < churn.size(); ++i) {
       const ChurnResult& r = churn[i];
