@@ -203,8 +203,10 @@ TEST(RelayDrainerTest, StableForEqualTimestamps) {
 
 class StreamWriterTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs these tests as parallel processes.
   std::string Path() const {
-    return testing::TempDir() + "/stream_writer_test.trc";
+    return testing::TempDir() + "/stream_writer_test_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() + ".trc";
   }
   void TearDown() override { std::remove(Path().c_str()); }
 };
