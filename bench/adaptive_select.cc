@@ -54,7 +54,7 @@ struct ActivitySource {
 
 LoopResult RunLoop(bool adaptive) {
   Simulator sim(33);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   LinuxSyscalls syscalls(&kernel);
   kernel.Boot();

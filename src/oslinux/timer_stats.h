@@ -24,7 +24,7 @@
 namespace tempo {
 
 // A timer_stats collector: a TraceSink counting arming operations per
-// (call-site, pid). Attach it (possibly via TeeSink) where a RelayBuffer
+// (call-site, pid). Attach it (possibly via TeeSink) where a TraceRecorder
 // would go; Enable/Disable mirror `echo 1 > /proc/timer_stats`.
 class TimerStatsCollector : public TraceSink {
  public:
@@ -57,8 +57,8 @@ class TimerStatsCollector : public TraceSink {
   std::map<std::pair<CallsiteId, Pid>, uint64_t> counts_;
 };
 
-// Fans one record stream out to several sinks (e.g. the study's RelayBuffer
-// plus a TimerStatsCollector).
+// Fans one record stream out to several sinks (e.g. the study's
+// TraceRecorder plus a TimerStatsCollector).
 class TeeSink : public TraceSink {
  public:
   void Add(TraceSink* sink) { sinks_.push_back(sink); }

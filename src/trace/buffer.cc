@@ -25,89 +25,34 @@ void NullSink::Log(const TraceRecord& record) {
   metric_discarded_->Inc();
 }
 
-RelayBuffer::RelayBuffer(size_t capacity)
+TraceRecorder::TraceRecorder(const char* sink, size_t capacity)
     : capacity_(capacity),
-      channel_("relay_buffer", RelayChannelConfig::ForCapacity(capacity)),
-      metric_logged_(SinkCounter("trace_records_logged", "relay", kLoggedHelp)),
-      metric_dropped_(SinkCounter("trace_records_dropped", "relay", kDroppedHelp)),
-      metric_charged_(SinkCounter("trace_charged_cycles", "relay", kChargedHelp)) {}
+      metric_logged_(SinkCounter("trace_records_logged", sink, kLoggedHelp)),
+      metric_dropped_(capacity == kUnbounded
+                          ? nullptr
+                          : SinkCounter("trace_records_dropped", sink, kDroppedHelp)),
+      metric_charged_(SinkCounter("trace_charged_cycles", sink, kChargedHelp)) {}
 
-void RelayBuffer::Log(const TraceRecord& record) {
+void TraceRecorder::Log(const TraceRecord& record) {
   if (cpu_ != nullptr) {
     cpu_->ChargeCycles(cost_cycles_);
     metric_charged_->Inc(cost_cycles_);
   }
-  // The shim enforces the exact requested capacity; the channel's geometry
-  // (rounded up to whole sub-buffers, plus flush slack) never drops first.
-  if (logged_ >= capacity_) {
+  if (records_.size() >= capacity_) {
     ++dropped_;  // relayfs semantics: drop new, keep old
     metric_dropped_->Inc();
     return;
   }
-  channel_.TryLog(record);
+  records_.push_back(record);
   if (live_tap_ != nullptr) {
     live_tap_->TryLog(record);
   }
-  ++logged_;
   metric_logged_->Inc();
 }
 
-void RelayBuffer::Sync() const {
-  channel_.FlushOpen();
-  channel_.Harvest(&records_);
-}
-
-const std::vector<TraceRecord>& RelayBuffer::records() const {
-  Sync();
-  return records_;
-}
-
-std::vector<TraceRecord> RelayBuffer::TakeRecords() {
-  Sync();
-  std::vector<TraceRecord> out = std::move(records_);
-  records_.clear();
-  logged_ = 0;
+std::vector<TraceRecord> TraceRecorder::TakeRecords() {
   dropped_ = 0;
-  return out;
-}
-
-EtwSession::EtwSession()
-    : channel_("etw_session"),
-      metric_logged_(SinkCounter("trace_records_logged", "etw", kLoggedHelp)),
-      metric_charged_(SinkCounter("trace_charged_cycles", "etw", kChargedHelp)) {}
-
-void EtwSession::Log(const TraceRecord& record) {
-  if (cpu_ != nullptr) {
-    cpu_->ChargeCycles(cost_cycles_);
-    metric_charged_->Inc(cost_cycles_);
-  }
-  if (!channel_.TryLog(record)) {
-    // Ring full: spill it into the materialized vector and retry — the
-    // session is unbounded, so the record must not be lost.
-    Sync();
-    channel_.TryLog(record);
-  }
-  if (live_tap_ != nullptr) {
-    live_tap_->TryLog(record);
-  }
-  metric_logged_->Inc();
-}
-
-void EtwSession::Sync() const {
-  channel_.FlushOpen();
-  channel_.Harvest(&records_);
-}
-
-const std::vector<TraceRecord>& EtwSession::records() const {
-  Sync();
-  return records_;
-}
-
-std::vector<TraceRecord> EtwSession::TakeRecords() {
-  Sync();
-  std::vector<TraceRecord> out = std::move(records_);
-  records_.clear();
-  return out;
+  return std::exchange(records_, {});
 }
 
 }  // namespace tempo

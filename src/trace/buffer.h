@@ -1,22 +1,20 @@
-// Trace sinks: legacy adapters over the relay-channel recording path.
+// Trace sinks and the study's trace recorder.
 //
-// The Linux study used relayfs with a 512 MiB in-kernel buffer: ordered,
-// lossless up to capacity, with new events *dropped* (never overwriting old
-// ones) on overflow. The Vista study used ETW, effectively unbounded for the
-// trace lengths involved. Since the relay rework both are thin shims over a
-// RelayChannel (relay.h): records take the same lock-free sub-buffer path
-// the multi-producer pipeline uses, and the classes here only add the
-// legacy conveniences — a materialized `records()` vector, exact capacity
-// accounting, CPU cycle charging — on top.
+// The Linux study logged into a 512 MiB relayfs buffer: ordered, lossless up
+// to capacity, with new events *dropped* (never overwriting old ones) on
+// overflow. The Vista study used an ETW session, effectively unbounded for
+// the trace lengths involved. TraceRecorder models both: one ordered vector
+// with a capacity, kUnbounded for ETW.
 //
 // Logging itself costs CPU: the paper measured 236 cycles per record
-// (Section 3.2). Sinks charge a configurable per-record cycle cost to the
-// simulated CPU so the overhead experiment can be re-run.
+// (Section 3.2). The recorder charges a configurable per-record cycle cost
+// to the simulated CPU so the overhead experiment can be re-run.
 
 #ifndef TEMPO_SRC_TRACE_BUFFER_H_
 #define TEMPO_SRC_TRACE_BUFFER_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -29,9 +27,8 @@ namespace tempo {
 // Per-record instrumentation cost measured in the paper (Section 3.2).
 inline constexpr uint64_t kPaperLogCostCycles = 236;
 
-// Abstract destination for trace records. Legacy interface: the hot
-// recording path is RelayChannel::TryLog (non-virtual); TraceSink remains
-// for callers that want pluggable single-threaded sinks.
+// Destination for the records a simulated kernel logs. TraceRecorder is the
+// study's; NullSink, TimerStatsCollector and TeeSink stand in for it.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -45,8 +42,8 @@ class TraceSink {
 // CPU cycles — that is the point of the baseline — but it does count the
 // records it swallows, so a perturbation experiment can still verify that
 // both runs *attempted* the same amount of logging. The count is exposed as
-// `discarded()` (not `dropped()`): nothing was lost to overflow as in
-// RelayBuffer; every record was discarded by design.
+// `discarded()` (not `dropped()`): nothing was lost to overflow as in a
+// full TraceRecorder; every record was discarded by design.
 class NullSink : public TraceSink {
  public:
   NullSink();
@@ -60,117 +57,52 @@ class NullSink : public TraceSink {
   obs::Counter* metric_discarded_;
 };
 
-// TraceSink adapter over a relay channel: lets legacy TraceSink callers
-// feed the channel/drainer pipeline. The virtual call is the adapter's
-// price; hot paths should hold the RelayChannel* directly.
-class ChannelSink : public TraceSink {
+// Ordered trace buffer with relayfs overflow semantics: once `capacity`
+// records are held, new records are dropped and counted; existing records
+// are never overwritten. Its obs series carry the `sink` label ("relay" for
+// the Linux buffer, "etw" for the Vista session).
+class TraceRecorder : public TraceSink {
  public:
-  explicit ChannelSink(RelayChannel* channel) : channel_(channel) {}
+  // Capacity of an ETW session: bounded only by memory, never drops.
+  static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
-  void Log(const TraceRecord& record) override {
-    if (cpu_ != nullptr) {
-      cpu_->ChargeCycles(cost_cycles_);
-    }
-    channel_->TryLog(record);
-  }
-
-  // Attaches a CPU to charge `cost_cycles` per logged record.
-  void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
-    cpu_ = cpu;
-    cost_cycles_ = cost_cycles;
-  }
-
-  RelayChannel* channel() const { return channel_; }
-
- private:
-  RelayChannel* channel_;
-  Cpu* cpu_ = nullptr;
-  uint64_t cost_cycles_ = kPaperLogCostCycles;
-};
-
-// Bounded, ordered trace buffer with relayfs overflow semantics: once the
-// buffer is full, new records are dropped and counted; existing records are
-// never overwritten. Backed by a private RelayChannel; `records()` and
-// `TakeRecords()` harvest it on demand, so single-threaded callers see the
-// same materialized-vector behaviour as before the relay rework.
-class RelayBuffer : public TraceSink {
- public:
-  // `capacity` is the maximum number of records retained. The default is
-  // the paper's 512 MiB relayfs buffer expressed in records — derived from
-  // sizeof(TraceRecord) in relay.h, not hard-coded.
-  explicit RelayBuffer(size_t capacity = kRelayDefaultCapacity);
+  // The default capacity is the paper's 512 MiB relayfs buffer expressed in
+  // records (relay.h). Only a bounded recorder registers a drop counter.
+  explicit TraceRecorder(const char* sink = "relay",
+                         size_t capacity = kRelayDefaultCapacity);
 
   void Log(const TraceRecord& record) override;
 
-  // Attaches a CPU to charge `cost_cycles` per logged record.
+  // Attaches a CPU to charge `cost_cycles` per Log attempt, dropped records
+  // included: the instrumentation pays before it finds the buffer full.
   void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
     cpu_ = cpu;
     cost_cycles_ = cost_cycles;
   }
 
   // Tees every *accepted* record into `tap` as well (e.g. a channel a live
-  // drainer polls while the run executes); nullptr disables. Records this
-  // buffer drops are not teed, so the live view matches the recorded trace.
+  // drainer polls while the run executes); nullptr disables. Dropped
+  // records are not teed, so the live view matches the recorded trace.
   void SetLiveTap(RelayChannel* tap) { live_tap_ = tap; }
 
-  const std::vector<TraceRecord>& records() const;
+  const std::vector<TraceRecord>& records() const { return records_; }
   size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
-  uint64_t logged() const { return logged_; }
+  uint64_t logged() const { return records_.size(); }
 
   // Releases the stored records (e.g. to hand to the analysis pipeline
-  // without copying) and resets the buffer.
+  // without copying) and resets logged() and dropped().
   std::vector<TraceRecord> TakeRecords();
 
  private:
-  // Harvests everything logged so far out of the channel into records_.
-  void Sync() const;
-
   size_t capacity_;
-  mutable RelayChannel channel_;              // Sync flushes + harvests it
-  mutable std::vector<TraceRecord> records_;  // harvested on demand
-  uint64_t logged_ = 0;   // records accepted since the last TakeRecords
-  uint64_t dropped_ = 0;  // resets with TakeRecords, unlike the channel's
+  std::vector<TraceRecord> records_;
+  uint64_t dropped_ = 0;  // since the last TakeRecords
   RelayChannel* live_tap_ = nullptr;
   Cpu* cpu_ = nullptr;
   uint64_t cost_cycles_ = kPaperLogCostCycles;
   obs::Counter* metric_logged_;
-  obs::Counter* metric_dropped_;
-  obs::Counter* metric_charged_;
-};
-
-// ETW-style session: unbounded buffer (bounded only by memory), same record
-// format. Backed by a small RelayChannel ring that spills into the
-// materialized vector whenever it fills, so no record is ever dropped.
-// Vista instrumentation additionally captures stacks; those live in the
-// records' `stack` field via CallsiteRegistry::InternStack.
-class EtwSession : public TraceSink {
- public:
-  EtwSession();
-
-  void Log(const TraceRecord& record) override;
-
-  void AttachCpu(Cpu* cpu, uint64_t cost_cycles = kPaperLogCostCycles) {
-    cpu_ = cpu;
-    cost_cycles_ = cost_cycles;
-  }
-
-  // Tees every record into `tap` as well; nullptr disables. ETW sessions
-  // never drop, so the tee sees exactly the recorded stream.
-  void SetLiveTap(RelayChannel* tap) { live_tap_ = tap; }
-
-  const std::vector<TraceRecord>& records() const;
-  std::vector<TraceRecord> TakeRecords();
-
- private:
-  void Sync() const;
-
-  mutable RelayChannel channel_;
-  mutable std::vector<TraceRecord> records_;
-  RelayChannel* live_tap_ = nullptr;
-  Cpu* cpu_ = nullptr;
-  uint64_t cost_cycles_ = kPaperLogCostCycles;
-  obs::Counter* metric_logged_;
+  obs::Counter* metric_dropped_;  // nullptr when unbounded
   obs::Counter* metric_charged_;
 };
 

@@ -13,10 +13,10 @@ namespace tempo {
 
 namespace {
 
-// Shared base: simulator, kernel, trace buffer, standard daemons.
+// Shared base: simulator, kernel, trace recorder, standard daemons.
 struct LinuxBase {
   TraceRun run;
-  RelayBuffer* buffer = nullptr;
+  TraceRecorder* recorder = nullptr;
   LinuxKernel* kernel = nullptr;
   LinuxSyscalls* syscalls = nullptr;
   KernelSubsystems* subsystems = nullptr;
@@ -28,26 +28,15 @@ LinuxBase MakeLinuxBase(const std::string& label, const WorkloadOptions& options
   base.run.label = label;
   base.run.sim = std::make_unique<Simulator>(options.seed);
 
-  auto buffer = std::make_unique<RelayBuffer>();
-  buffer->AttachCpu(&base.run.sim->cpu());
-  if (options.live != nullptr && options.live->channels != nullptr) {
-    RelayChannel* tap = options.live->channels->Register("live/" + label);
-    buffer->SetLiveTap(tap);
-    if (options.live->poll && options.live->period > 0) {
-      auto poll = options.live->poll;
-      base.run.keepalive.push_back(
-          base.run.sim->SchedulePeriodic(options.live->period, [tap, poll] {
-            tap->FlushOpen();  // the drainer only sees published sub-buffers
-            poll();
-          }));
-    }
-  }
-  base.buffer = base.run.Keep(std::move(buffer));
+  auto recorder = std::make_unique<TraceRecorder>();
+  recorder->AttachCpu(&base.run.sim->cpu());
+  AttachLiveTap(options, &base.run, recorder.get());
+  base.recorder = base.run.Keep(std::move(recorder));
 
   LinuxKernel::Options kernel_options;
   kernel_options.dynticks = options.dynticks;
   base.run.linux_kernel =
-      std::make_unique<LinuxKernel>(base.run.sim.get(), base.buffer, kernel_options);
+      std::make_unique<LinuxKernel>(base.run.sim.get(), base.recorder, kernel_options);
   base.kernel = base.run.linux_kernel.get();
 
   subsystem_options.use_round_jiffies = options.round_jiffies;
@@ -179,7 +168,7 @@ TraceRun RunLinuxIdle(const WorkloadOptions& options) {
   AddIdleTcp(base, net, /*connections=*/2, /*heartbeat=*/12 * kSecond);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.buffer->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -225,7 +214,7 @@ TraceRun RunLinuxFirefox(const WorkloadOptions& options) {
   AddIdleTcp(base, net, /*connections=*/3, /*heartbeat=*/4 * kSecond);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.buffer->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -291,7 +280,7 @@ TraceRun RunLinuxSkype(const WorkloadOptions& options) {
   AddIdleTcp(base, net, /*connections=*/2, /*heartbeat=*/1 * kSecond);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.buffer->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -330,7 +319,7 @@ TraceRun RunLinuxWebserver(const WorkloadOptions& options) {
   generator->Start(nullptr);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.buffer->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 

@@ -1,7 +1,7 @@
 // Workload execution harness.
 //
 // A TraceRun owns a complete simulated machine (simulator, OS model, trace
-// buffer, protocol stacks, application processes) for the duration of one
+// recorder, protocol stacks, application processes) for the duration of one
 // traced workload, and exposes what the analysis pipeline needs: the
 // records, the call-site registry, and the process table.
 
@@ -30,7 +30,7 @@ struct TraceRun {
   std::unique_ptr<LinuxKernel> linux_kernel;
   std::unique_ptr<VistaKernel> vista_kernel;
 
-  // The trace itself (moved out of the buffer after the run).
+  // The trace itself (moved out of the recorder after the run).
   std::vector<TraceRecord> records;
 
   // Anything else that must stay alive as long as the records reference it
@@ -93,6 +93,11 @@ struct WorkloadOptions {
   // processes/callsites back-pointers during setup).
   LiveTapOptions* live = nullptr;
 };
+
+// Hooks `recorder` up to options.live, if set: registers the
+// "live/<run label>" channel as the recorder's live tap and schedules the
+// flush-and-poll every `period`. Call it before the kernel logs anything.
+void AttachLiveTap(const WorkloadOptions& options, TraceRun* run, TraceRecorder* recorder);
 
 }  // namespace tempo
 

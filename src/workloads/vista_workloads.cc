@@ -12,7 +12,7 @@ namespace {
 
 struct VistaBase {
   TraceRun run;
-  EtwSession* session = nullptr;
+  TraceRecorder* recorder = nullptr;
   VistaKernel* kernel = nullptr;
   VistaUserApi* api = nullptr;
 };
@@ -22,26 +22,16 @@ VistaBase MakeVistaBase(const std::string& label, const WorkloadOptions& options
   base.run.label = label;
   base.run.sim = std::make_unique<Simulator>(options.seed);
 
-  auto session = std::make_unique<EtwSession>();
-  session->AttachCpu(&base.run.sim->cpu());
-  if (options.live != nullptr && options.live->channels != nullptr) {
-    RelayChannel* tap = options.live->channels->Register("live/" + label);
-    session->SetLiveTap(tap);
-    if (options.live->poll && options.live->period > 0) {
-      auto poll = options.live->poll;
-      base.run.keepalive.push_back(
-          base.run.sim->SchedulePeriodic(options.live->period, [tap, poll] {
-            tap->FlushOpen();  // the drainer only sees published sub-buffers
-            poll();
-          }));
-    }
-  }
-  base.session = base.run.Keep(std::move(session));
+  // The ETW session: unbounded, so it never drops.
+  auto recorder = std::make_unique<TraceRecorder>("etw", TraceRecorder::kUnbounded);
+  recorder->AttachCpu(&base.run.sim->cpu());
+  AttachLiveTap(options, &base.run, recorder.get());
+  base.recorder = base.run.Keep(std::move(recorder));
 
   VistaKernel::Options kernel_options;
   kernel_options.coalesce_ticks = options.coalesce_ticks;
   base.run.vista_kernel =
-      std::make_unique<VistaKernel>(base.run.sim.get(), base.session, kernel_options);
+      std::make_unique<VistaKernel>(base.run.sim.get(), base.recorder, kernel_options);
   base.kernel = base.run.vista_kernel.get();
   base.api = base.run.Keep(std::make_unique<VistaUserApi>(base.kernel));
   base.kernel->Boot();
@@ -144,7 +134,7 @@ TraceRun RunVistaIdle(const WorkloadOptions& options) {
   AddKernelHousekeeping(base, options.intensity);
   AddBackgroundServices(base);
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.session->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -176,7 +166,7 @@ TraceRun RunVistaSkype(const WorkloadOptions& options) {
                                                   3 * kMillisecond))->Start();
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.session->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -209,7 +199,7 @@ TraceRun RunVistaFirefox(const WorkloadOptions& options) {
   AddWaitLoop(base, firefox, "firefox/compositor_wait", 8 * kMillisecond, 0.15);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.session->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -243,7 +233,7 @@ TraceRun RunVistaWebserver(const WorkloadOptions& options) {
   }
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.session->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 
@@ -285,7 +275,7 @@ TraceRun RunVistaDesktop(const WorkloadOptions& options) {
   queue->SetTimer(100 * kMillisecond, nullptr);
 
   base.run.sim->RunUntil(options.duration);
-  base.run.records = base.session->TakeRecords();
+  base.run.records = base.recorder->TakeRecords();
   return std::move(base.run);
 }
 

@@ -165,7 +165,7 @@ TEST(SimTimerServiceTest, ArmFiresAndCancelWorks) {
 
 TEST(LinuxTimerServiceTest, ArmsTracedKernelTimers) {
   Simulator sim;
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   LinuxTimerService service(&kernel, "adaptive/test", 3);
@@ -186,7 +186,7 @@ TEST(LinuxTimerServiceTest, ArmsTracedKernelTimers) {
 
 TEST(LinuxTimerServiceTest, SlotsAreReusedAcrossArms) {
   Simulator sim;
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   LinuxTimerService service(&kernel, "adaptive/test", 3);

@@ -30,7 +30,7 @@ class DhcpTest : public ::testing::Test {
   }
 
   Simulator sim_{4};
-  RelayBuffer buffer_;
+  TraceRecorder buffer_;
   LinuxKernel kernel_;
   SimNetwork net_;
   NodeId client_node_;

@@ -136,7 +136,7 @@ TEST(NetworkFifoTest, PacketsNeverReorderOnALink) {
 
 TEST(SelectAppTest, CountdownResetsAfterFullExpiry) {
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   LinuxSyscalls syscalls(&kernel);
   kernel.Boot();
@@ -158,7 +158,7 @@ TEST(SelectAppTest, CountdownResetsAfterFullExpiry) {
 
 TEST(PollAppTest, ValuesComeFromTheDeclaredSet) {
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   LinuxSyscalls syscalls(&kernel);
   kernel.Boot();
@@ -179,7 +179,7 @@ TEST(PollAppTest, ValuesComeFromTheDeclaredSet) {
 
 TEST(VistaAppTest, WaitLoopMixesSatisfactionAndTimeouts) {
   Simulator sim(3);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.Boot();
   WaitLoopApp::Options options;
@@ -201,7 +201,7 @@ TEST(VistaAppTest, WaitLoopMixesSatisfactionAndTimeouts) {
 
 TEST(VistaAppTest, UpcallGuardStormsRaiseSetRate) {
   Simulator sim(3);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.Boot();
   UpcallGuardApp::Options options;
@@ -231,7 +231,7 @@ TEST(VistaAppTest, UpcallGuardStormsRaiseSetRate) {
 
 TEST(VistaAppTest, DeferredCloserFiresBetweenBursts) {
   Simulator sim(3);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.Boot();
   DeferredCloserApp::Options options;

@@ -107,7 +107,7 @@ TEST(IntegrationTest, AdaptiveTimeoutOverInstrumentedKernelTimers) {
   // timer traffic appears in the trace like any other client's, so the
   // paper's methodology could observe its own proposed fix.
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   LinuxTimerService service(&kernel, "adaptive/guard", 9);

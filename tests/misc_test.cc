@@ -85,7 +85,7 @@ TEST(HrTimerDynticksTest, HrTimerFiresPreciselyUnderDynticks) {
   // hrtimers run from their own one-shot event: suppressing the periodic
   // tick must not delay them.
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -100,7 +100,7 @@ TEST(HrTimerDynticksTest, HrTimerFiresPreciselyUnderDynticks) {
 
 TEST(HrTimerDynticksTest, ReprogramOnEarlierHrTimer) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   std::vector<SimTime> fires;
@@ -116,7 +116,7 @@ TEST(HrTimerDynticksTest, ReprogramOnEarlierHrTimer) {
 
 TEST(NtTimerTest, OneShotDoesNotRepeat) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   VistaUserApi api(&kernel);
   kernel.Boot();
@@ -129,7 +129,7 @@ TEST(NtTimerTest, OneShotDoesNotRepeat) {
 
 TEST(NtTimerTest, ReSetBeforeExpiryDefers) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   VistaUserApi api(&kernel);
   kernel.Boot();

@@ -306,7 +306,7 @@ TEST(TcpTest, CloseNotifiesPeer) {
 
 TEST(TcpTest, KernelBoundStackEmitsKeepaliveAndRetransmitRecords) {
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options kopts;
   kopts.max_set_jitter = 0;
   LinuxKernel kernel(&sim, &buffer, kopts);
@@ -356,7 +356,7 @@ TEST(TcpTest, TimerStructsAreSlabReused) {
   // 100 sequential connections must reuse a handful of timer identities
   // (Table 1: a 30000-connection trace had ~100 distinct timers).
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   SimNetwork net(&sim);
@@ -677,7 +677,7 @@ TEST(FileBrowserTest, UnresolvedNameFailsAfterResolverTimeouts) {
 
 TEST(HttpTest, ServerHandlesLoadGeneratorRequests) {
   Simulator sim(9);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   KernelSubsystemsOptions sub_options;
   sub_options.lan_event_rate = 0;
@@ -712,7 +712,7 @@ TEST(HttpTest, ServerHandlesLoadGeneratorRequests) {
 
 TEST(HttpTest, ServerTraceContainsApacheAndTcpTimers) {
   Simulator sim(9);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   KernelSubsystemsOptions sub_options;
   sub_options.lan_event_rate = 0;
@@ -763,7 +763,7 @@ TEST(VistaTcpWheelTest, PrivateWheelKeepsTcpOutOfTheTrace) {
   // private-wheel mode must work — retransmissions included — while the
   // instrumented kernel records nothing for it.
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);  // stands in for the instrumented host
   kernel.Boot();
   const size_t baseline_records = buffer.records().size();
@@ -807,7 +807,7 @@ TEST(VistaTcpWheelTest, KernelModeDoesTraceTheSameExchange) {
   // Control: the identical exchange on a kernel-bound stack produces TCP
   // records — isolating the effect to the wheel binding.
   Simulator sim(3);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer);
   kernel.Boot();
   SimNetwork net(&sim);

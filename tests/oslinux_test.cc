@@ -64,7 +64,7 @@ class LinuxKernelTest : public ::testing::Test {
   LinuxKernelTest() : kernel_(&sim_, &buffer_, NoJitter()) { kernel_.Boot(); }
 
   Simulator sim_{1};
-  RelayBuffer buffer_;
+  TraceRecorder buffer_;
   LinuxKernel kernel_;
 };
 
@@ -185,7 +185,7 @@ TEST_F(LinuxKernelTest, ObservedTimeoutMatchesJiffyDelta) {
 
 TEST(LinuxKernelJitterTest, JitterOnlyShrinksObservedValueWithinBound) {
   Simulator sim(7);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options options;
   options.max_set_jitter = 2 * kMillisecond;
   options.jitter_probability = 1.0;
@@ -213,7 +213,7 @@ TEST_F(LinuxKernelTest, PeriodicTickCountsInterrupts) {
 
 TEST(LinuxDynticksTest, IdleSkipsTicks) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -229,7 +229,7 @@ TEST(LinuxDynticksTest, IdleSkipsTicks) {
 
 TEST(LinuxDynticksTest, NewNearTimerReprogramsParkedTick) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -247,7 +247,7 @@ TEST(LinuxDynticksTest, NewNearTimerReprogramsParkedTick) {
 
 TEST(LinuxDeferrableTest, DeferrableDoesNotWakeIdleCpu) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel::Options options;
   options.dynticks = true;
   options.max_set_jitter = 0;
@@ -309,7 +309,7 @@ class LinuxSyscallTest : public ::testing::Test {
   }
 
   Simulator sim_{1};
-  RelayBuffer buffer_;
+  TraceRecorder buffer_;
   LinuxKernel kernel_;
   LinuxSyscalls syscalls_;
   Pid pid_ = 0;
@@ -426,7 +426,7 @@ TEST_F(LinuxSyscallTest, PosixIntervalTimerRepeats) {
 
 TEST(LinuxSubsystemsTest, PeriodicTimersProduceExpectedCallsites) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.block_io_rate = 2.0;
@@ -452,7 +452,7 @@ TEST(LinuxSubsystemsTest, PeriodicTimersProduceExpectedCallsites) {
 
 TEST(LinuxSubsystemsTest, UsbPollRunsAt248ms) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.lan_event_rate = 0;
@@ -474,7 +474,7 @@ TEST(LinuxSubsystemsTest, UsbPollRunsAt248ms) {
 
 TEST(LinuxSubsystemsTest, BlockIoArmsAndCancelsUnplugTimer) {
   Simulator sim(1);
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   LinuxKernel kernel(&sim, &buffer, NoJitter());
   KernelSubsystemsOptions options;
   options.workqueue_1s = options.workqueue_2s = options.writeback_5s = false;
@@ -511,7 +511,7 @@ namespace {
 TEST(TimerStatsTest, CountsArmingOperationsPerOrigin) {
   Simulator sim(1);
   TimerStatsCollector stats;
-  RelayBuffer buffer;
+  TraceRecorder buffer;
   TeeSink tee;
   tee.Add(&buffer);
   tee.Add(&stats);

@@ -28,7 +28,7 @@ class VistaKernelTest : public ::testing::Test {
   VistaKernelTest() : kernel_(&sim_, &session_) { kernel_.Boot(); }
 
   Simulator sim_{1};
-  EtwSession session_;
+  TraceRecorder session_{"etw", TraceRecorder::kUnbounded};
   VistaKernel kernel_;
 };
 
@@ -180,7 +180,7 @@ TEST_F(VistaKernelTest, WaitTimerIdentityIsStablePerThread) {
 
 TEST(VistaCoalescingTest, IdleTicksAreSkipped) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel::Options options;
   options.coalesce_ticks = true;
   VistaKernel kernel(&sim, &session, options);
@@ -194,7 +194,7 @@ TEST(VistaCoalescingTest, IdleTicksAreSkipped) {
 
 TEST(VistaCoalescingTest, NearTimerPullsInterruptForward) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel::Options options;
   options.coalesce_ticks = true;
   VistaKernel kernel(&sim, &session, options);
@@ -215,7 +215,7 @@ class VistaUserApiTest : public ::testing::Test {
   VistaUserApiTest() : kernel_(&sim_, &session_), api_(&kernel_) { kernel_.Boot(); }
 
   Simulator sim_{1};
-  EtwSession session_;
+  TraceRecorder session_{"etw", TraceRecorder::kUnbounded};
   VistaKernel kernel_;
   VistaUserApi api_;
 };
@@ -343,7 +343,7 @@ namespace {
 
 TEST(VistaResolutionTest, BeginTimerResolutionRaisesTickRate) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.Boot();
   EXPECT_EQ(kernel.effective_tick(), kVistaClockTick);
@@ -362,7 +362,7 @@ TEST(VistaResolutionTest, BeginTimerResolutionRaisesTickRate) {
 
 TEST(VistaResolutionTest, EndTimerResolutionRestoresDefault) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.Boot();
   kernel.BeginTimerResolution(kMillisecond);
@@ -376,7 +376,7 @@ TEST(VistaResolutionTest, EndTimerResolutionRestoresDefault) {
 
 TEST(VistaResolutionTest, FloorAtOneMillisecond) {
   Simulator sim(1);
-  EtwSession session;
+  TraceRecorder session("etw", TraceRecorder::kUnbounded);
   VistaKernel kernel(&sim, &session);
   kernel.BeginTimerResolution(10 * kMicrosecond);
   EXPECT_EQ(kernel.effective_tick(), kMillisecond);
@@ -388,7 +388,7 @@ TEST(VistaResolutionTest, BoostCostsInterrupts) {
   // load.
   auto interrupts_with = [](bool boost) {
     Simulator sim(1);
-    EtwSession session;
+    TraceRecorder session("etw", TraceRecorder::kUnbounded);
     VistaKernel kernel(&sim, &session);
     kernel.Boot();
     if (boost) {
@@ -413,7 +413,7 @@ class MultiWaitTest : public ::testing::Test {
   MultiWaitTest() : kernel_(&sim_, &session_), api_(&kernel_) { kernel_.Boot(); }
 
   Simulator sim_{1};
-  EtwSession session_;
+  TraceRecorder session_{"etw", TraceRecorder::kUnbounded};
   VistaKernel kernel_;
   VistaUserApi api_;
 };

@@ -99,26 +99,11 @@ TEST(RelayChannelTest, DefaultCapacityDerivedFromPaperBufferSize) {
   // The 512 MiB relayfs budget expressed in records, derived in one place
   // from sizeof(TraceRecord) — not a hard-coded count.
   EXPECT_EQ(kRelayDefaultCapacity, (size_t{512} << 20) / sizeof(TraceRecord));
-  EXPECT_EQ(RelayBuffer().capacity(), kRelayDefaultCapacity);
+  EXPECT_EQ(TraceRecorder().capacity(), kRelayDefaultCapacity);
   // ForCapacity covers at least the asked-for records.
   for (const size_t records : {1u, 5u, 4096u, 10000u}) {
     EXPECT_GE(RelayChannelConfig::ForCapacity(records).capacity_records(), records);
   }
-}
-
-TEST(ChannelSinkTest, AdaptsTraceSinkCallersToAChannel) {
-  RelayChannel channel("t");
-  ChannelSink sink(&channel);
-  Cpu cpu;
-  sink.AttachCpu(&cpu, 100);
-  TraceSink* legacy = &sink;  // the virtual interface legacy callers hold
-  legacy->Log(Rec(7));
-  EXPECT_EQ(cpu.charged_cycles(), 100u);
-  channel.FlushOpen();
-  std::vector<TraceRecord> out;
-  channel.Harvest(&out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].timestamp, 7);
 }
 
 // --- RelayDrainer ---
