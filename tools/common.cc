@@ -1,5 +1,7 @@
 #include "tools/common.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -19,33 +21,67 @@ const FlagSpec* FindSpec(std::span<const FlagSpec> specs, const std::string& nam
   return nullptr;
 }
 
+[[noreturn]] void FlagError(const std::string& flag, const std::string& reason) {
+  std::fprintf(stderr, "error: --%s: %s\n", flag.c_str(), reason.c_str());
+  std::exit(2);
+}
+
+// Parses all of `text` as a T (from_chars takes no blanks and no '+', and
+// no '-' for an unsigned T), or exits with a usage error naming `flag`.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text, const char* kind) {
+  if (text.empty()) {
+    FlagError(flag, "empty value");
+  }
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::invalid_argument || end != last) {
+    FlagError(flag, "'" + text + "' is not " + kind);
+  }
+  if (error == std::errc::result_out_of_range) {
+    FlagError(flag, "'" + text + "' is out of range");
+  }
+  return value;
+}
+
 }  // namespace
+
+const std::string* ParsedArgs::Find(const std::string& flag, size_t index) const {
+  const auto it = flags_.find(flag);
+  return it == flags_.end() || index >= it->second.size() ? nullptr : &it->second[index];
+}
 
 std::string ParsedArgs::Value(const std::string& flag, size_t index,
                               const std::string& fallback) const {
-  const auto it = flags_.find(flag);
-  if (it == flags_.end() || index >= it->second.size()) {
-    return fallback;
-  }
-  return it->second[index];
+  const std::string* text = Find(flag, index);
+  return text == nullptr ? fallback : *text;
 }
 
-uint64_t ParsedArgs::UintValue(const std::string& flag, uint64_t fallback,
-                               size_t index) const {
-  const auto it = flags_.find(flag);
-  if (it == flags_.end() || index >= it->second.size()) {
+uint64_t ParsedArgs::UintValue(const std::string& flag, uint64_t fallback, size_t index,
+                               uint64_t max) const {
+  const std::string* text = Find(flag, index);
+  if (text == nullptr) {
     return fallback;
   }
-  return static_cast<uint64_t>(std::strtoull(it->second[index].c_str(), nullptr, 10));
+  const uint64_t value = ParseNumber<uint64_t>(flag, *text, "an unsigned integer");
+  if (value > max) {
+    FlagError(flag, "'" + *text + "' is out of range (max " + std::to_string(max) + ")");
+  }
+  return value;
 }
 
 double ParsedArgs::DoubleValue(const std::string& flag, double fallback,
                                size_t index) const {
-  const auto it = flags_.find(flag);
-  if (it == flags_.end() || index >= it->second.size()) {
+  const std::string* text = Find(flag, index);
+  if (text == nullptr) {
     return fallback;
   }
-  return std::atof(it->second[index].c_str());
+  const double value = ParseNumber<double>(flag, *text, "a number");
+  if (!std::isfinite(value)) {
+    FlagError(flag, "'" + *text + "' is not finite");
+  }
+  return value;
 }
 
 ParsedArgs ParseArgs(int argc, char** argv, std::span<const FlagSpec> specs) {

@@ -9,6 +9,7 @@
 #ifndef TEMPO_TOOLS_COMMON_H_
 #define TEMPO_TOOLS_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <span>
@@ -42,11 +43,20 @@ class ParsedArgs {
   // The index-th value of a flag, or `fallback` when the flag is absent.
   std::string Value(const std::string& flag, size_t index = 0,
                     const std::string& fallback = "") const;
-  uint64_t UintValue(const std::string& flag, uint64_t fallback, size_t index = 0) const;
+
+  // The same, parsed as a number. A malformed value is a usage error: these
+  // print "error: --<flag>: <reason>" and exit 2. UintValue takes plain
+  // decimal digits only (no sign, no blanks) up to `max`, the largest value
+  // the destination holds; DoubleValue takes any finite decimal number.
+  uint64_t UintValue(const std::string& flag, uint64_t fallback, size_t index = 0,
+                     uint64_t max = UINT64_MAX) const;
   double DoubleValue(const std::string& flag, double fallback, size_t index = 0) const;
 
  private:
   friend ParsedArgs ParseArgs(int argc, char** argv, std::span<const FlagSpec> specs);
+
+  // The index-th value of a flag, or nullptr when the flag is absent.
+  const std::string* Find(const std::string& flag, size_t index) const;
 
   std::vector<std::string> positionals_;
   std::map<std::string, std::vector<std::string>> flags_;

@@ -164,6 +164,7 @@ int main(int argc, char** argv) {
   const std::string format = args.Value("format", 0, "text");
   const double minutes = args.DoubleValue("minutes", 3.0);
   const uint64_t seed = args.UintValue("seed", 2008);
+  const size_t jobs = static_cast<size_t>(args.UintValue("jobs", 1));
   if (format != "text" && format != "json" && format != "prom" && format != "all") {
     std::fprintf(stderr, "error: unknown format %s\n", format.c_str());
     tools::PrintUsage(stderr, argv[0], "<workload>", kFlags, kWorkloadList);
@@ -230,7 +231,7 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<AnalysisPass>> passes;
   passes.push_back(std::make_unique<SummaryPass>(run.label.empty() ? which : run.label));
   PipelineOptions pipeline_options;
-  pipeline_options.jobs = static_cast<size_t>(args.UintValue("jobs", 1));
+  pipeline_options.jobs = jobs;
   pipeline_options.stats_label = which;
   PipelineRunner runner(pipeline_options);
   runner.Run(std::span<const TraceRecord>(run.records.data(), run.records.size()), passes);

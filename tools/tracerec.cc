@@ -67,6 +67,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  TraceWriteOptions write_options;
+  if (args.Has("v1")) {
+    write_options.version = kTraceFileVersion;
+  } else if (args.Has("v3")) {
+    write_options.version = kTraceFileVersionColumnar;
+  }
+  write_options.chunk_records = static_cast<uint32_t>(
+      args.UintValue("chunk-records", kDefaultChunkRecords, 0, UINT32_MAX));
+  if (args.Has("compress")) {
+    if (write_options.version != kTraceFileVersionColumnar) {
+      std::fprintf(stderr, "error: --compress requires --v3\n");
+      return 2;
+    }
+    write_options.block_codec = BlockCodecId::kTempoLz;
+  }
+
+  if (args.Has("stream") && args.Has("v1")) {
+    std::fprintf(stderr, "error: --stream writes chunked v2/v3 only\n");
+    return 2;
+  }
+
   WorkloadOptions options;
   options.duration = 30 * kMinute;
   options.seed = 2008;
@@ -102,32 +123,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TraceWriteOptions write_options;
-  if (args.Has("v1")) {
-    write_options.version = kTraceFileVersion;
-  } else if (args.Has("v3")) {
-    write_options.version = kTraceFileVersionColumnar;
-  }
-  write_options.chunk_records = static_cast<uint32_t>(
-      args.UintValue("chunk-records", kDefaultChunkRecords));
-  if (args.Has("compress")) {
-    if (write_options.version != kTraceFileVersionColumnar) {
-      std::fprintf(stderr, "error: --compress requires --v3\n");
-      return 2;
-    }
-    write_options.block_codec = BlockCodecId::kTempoLz;
-  }
-
-  if (args.Has("stream") && args.Has("v1")) {
-    std::fprintf(stderr, "error: --stream writes chunked v2/v3 only\n");
-    return 2;
-  }
-
   const std::string& output = positionals[1];
   if (args.Has("stream")) {
     // Record-at-a-time through the streaming writer: the output is
     // byte-identical to the buffered WriteTraceFile path (pinned by the
-    // tools_stream_identical ctests), but peak memory is one chunk.
+    // tools_stream_identical ctests), without building the whole file
+    // image in memory. The records themselves are all in run.records: the
+    // workload has finished before the first one is written.
     TraceStreamWriter writer(output, &run.callsites(), write_options);
     for (const TraceRecord& record : run.records) {
       writer.Append(record);

@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   const bool jiffies = !args.Has("no-jiffies");
   const double blame_start = args.DoubleValue("blame", -1.0, 0);
   const double blame_end = args.DoubleValue("blame", -1.0, 1);
+  const size_t jobs = static_cast<size_t>(args.UintValue("jobs", 0));
 
   const std::string& path = args.positionals()[0];
   TraceReadError read_error = TraceReadError::kIo;
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   }
 
   PipelineOptions pipeline_options;
-  pipeline_options.jobs = static_cast<size_t>(args.UintValue("jobs", 0));
+  pipeline_options.jobs = jobs;
   pipeline_options.stats_label = "tracestat";
   PipelineRunner runner(pipeline_options);
   if (!runner.Run(*reader, passes, &read_error)) {
