@@ -213,7 +213,7 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
       return;
     }
     for (size_t i = range.first; i < range.second; ++i) {
-      const TraceChunkReader::ChunkRef& ref = reader.chunk(i);
+      const TraceChunkRef& ref = reader.chunk(i);
       if (SkipChunk(predicates, ref.zone)) {
         ++state->chunks_skipped;
         continue;

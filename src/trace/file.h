@@ -33,15 +33,18 @@
 //         timestamp, u64 pid digest, u8 op mask); u64 footer offset;
 //         "TEMPOIDX" trailer magic.
 //
-// The index footer lets TraceChunkReader (chunked.h) hand out chunks to
-// parallel workers without materializing the whole trace; the v3 zone maps
-// additionally let predicate-carrying consumers skip chunks without
-// decoding them. ReadTraceFile keeps reading v1 and v2 files unchanged.
+// Every version is read by one parser, TraceChunkReader (chunked.h):
+// ReadTraceFile and DeserializeTrace collect all of its chunks into one
+// LoadedTrace. The index footer lets the same reader hand out chunks to
+// parallel workers without materializing the whole trace; the v3 zone
+// maps additionally let predicate-carrying consumers skip chunks without
+// decoding them.
 
 #ifndef TEMPO_SRC_TRACE_FILE_H_
 #define TEMPO_SRC_TRACE_FILE_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,11 +64,12 @@ inline constexpr uint32_t kDefaultChunkRecords = 64 * 1024;
 
 // Why a trace failed to load. io: the file could not be opened or read;
 // magic: not a tempo trace; version: a tempo trace from an unknown format
-// revision; truncated: the payload ends before the declared content does;
-// corrupt: the content is self-inconsistent (bad record op, out-of-order
-// call-site table, index that contradicts the header); codec: a v3 chunk
-// uses a stripe or block codec this build does not know (a newer writer's
-// file — distinct from corruption so tools can say so).
+// revision; truncated: the file ends before its declared content does;
+// corrupt: the content is self-inconsistent (bad record op, a call-site id
+// outside the file's table, out-of-order call-site table, an index that
+// contradicts the header or the chunks, bytes after the declared end);
+// codec: a v3 chunk uses a stripe or block codec this build does not know
+// (a newer writer's file — distinct from corruption so tools can say so).
 enum class TraceReadError : uint8_t {
   kIo = 0,
   kMagic = 1,
@@ -97,19 +101,43 @@ struct TraceWriteOptions {
   BlockCodecId block_codec = BlockCodecId::kNone;
 };
 
+// One chunk of a trace file: where it starts, how many records it holds,
+// and its on-disk size (records * 48 for v1/v2 rows, the encoded size for
+// v3). The v2/v3 index footer stores one per chunk; `zone` is valid only
+// for v3 chunks.
+struct TraceChunkRef {
+  uint64_t offset = 0;  // absolute file offset of the chunk
+  uint32_t records = 0;
+  uint64_t stored_bytes = 0;
+  ChunkZone zone;
+};
+
+// The framing both writers share (SerializeTrace and TraceStreamWriter),
+// so buffered and streamed files cannot drift apart. PutTraceHeader
+// appends the magic, version, call-site table, record count and, for
+// v2/v3, the chunk capacity. PutTraceIndex appends the v2/v3 index footer:
+// one entry per chunk (absolute offsets), then `index_offset`, where the
+// footer itself starts, and the trailer magic.
+void PutTraceHeader(uint32_t version, const CallsiteRegistry& callsites, uint64_t records,
+                    uint32_t chunk_records, std::vector<uint8_t>* out);
+void PutTraceIndex(uint32_t version, std::span<const TraceChunkRef> chunks,
+                   uint64_t index_offset, std::vector<uint8_t>* out);
+
 // Writes records + call-site table to `path` (chunked v2 by default).
 // Returns false on I/O error.
 bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& records,
                     const CallsiteRegistry& callsites,
                     const TraceWriteOptions& options = {});
 
-// Reads a trace file of either version; nullopt on failure, with the
-// reason in `*error` when given.
+// Reads a trace file of any version through TraceChunkReader; nullopt on
+// failure, with the reason in `*error` when given. Beyond what a cursor
+// checks, every v3 index zone must equal the zone of its chunk's records.
 std::optional<LoadedTrace> ReadTraceFile(const std::string& path,
                                          TraceReadError* error = nullptr);
 
-// In-memory (de)serialisation, used by the file functions and directly
-// testable without touching disk.
+// In-memory forms of the file functions: SerializeTrace builds the bytes
+// WriteTraceFile writes, and DeserializeTrace reads bytes exactly as
+// ReadTraceFile reads a file holding them.
 std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
                                     const CallsiteRegistry& callsites,
                                     const TraceWriteOptions& options = {});

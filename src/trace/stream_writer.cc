@@ -1,13 +1,8 @@
 #include "src/trace/stream_writer.h"
 
-#include <cstring>
-
-#include "src/trace/wire.h"
-
 namespace tempo {
 
 namespace {
-constexpr size_t kMagicSize = sizeof(wire::kTraceMagic);
 constexpr size_t kCopyBlock = size_t{1} << 16;
 }  // namespace
 
@@ -59,7 +54,7 @@ void TraceStreamWriter::FlushChunk() {
   if (chunk_records_ == 0) {
     return;
   }
-  IndexEntry entry;
+  TraceChunkRef entry;
   entry.offset = spill_bytes_;
   entry.records = chunk_records_;
   if (version_ == kTraceFileVersionColumnar) {
@@ -68,7 +63,7 @@ void TraceStreamWriter::FlushChunk() {
                   block_codec_, &encode_scratch_, &chunk_, &entry.zone);
     pending_.clear();
   }
-  entry.stored = chunk_.size();
+  entry.stored_bytes = chunk_.size();
   index_.push_back(entry);
   if (std::fwrite(chunk_.data(), 1, chunk_.size(), spill_) != chunk_.size()) {
     FailAndCleanup();
@@ -94,34 +89,16 @@ bool TraceStreamWriter::Close() {
   }
 
   // Everything that precedes the chunks in the chunked layouts is now known.
-  std::vector<uint8_t> header(kMagicSize);
-  std::memcpy(header.data(), wire::kTraceMagic, kMagicSize);
-  wire::Put32(version_, &header);
-  wire::PutCallsiteTable(*callsites_, &header);
-  wire::Put64(records_, &header);
-  wire::Put32(capacity_, &header);
-  const uint64_t header_size = header.size();
+  std::vector<uint8_t> header;
+  PutTraceHeader(version_, *callsites_, records_, capacity_, &header);
 
-  // The footer's offsets are spill-relative until rebased past the header —
+  // The chunk offsets are spill-relative until rebased past the header —
   // this is what makes the result byte-identical to SerializeTrace.
-  std::vector<uint8_t> footer;
-  wire::Put32(static_cast<uint32_t>(index_.size()), &footer);
-  for (const IndexEntry& entry : index_) {
-    wire::Put64(header_size + entry.offset, &footer);
-    if (version_ == kTraceFileVersionColumnar) {
-      wire::Put32(static_cast<uint32_t>(entry.stored), &footer);
-    }
-    wire::Put32(entry.records, &footer);
-    if (version_ == kTraceFileVersionColumnar) {
-      wire::Put64(static_cast<uint64_t>(entry.zone.min_timestamp), &footer);
-      wire::Put64(static_cast<uint64_t>(entry.zone.max_timestamp), &footer);
-      wire::Put64(entry.zone.pid_digest, &footer);
-      footer.push_back(entry.zone.op_mask);
-    }
+  for (TraceChunkRef& entry : index_) {
+    entry.offset += header.size();
   }
-  wire::Put64(header_size + spill_bytes_, &footer);
-  footer.insert(footer.end(), wire::kTraceIndexMagic,
-                wire::kTraceIndexMagic + kMagicSize);
+  std::vector<uint8_t> footer;
+  PutTraceIndex(version_, index_, header.size() + spill_bytes_, &footer);
 
   bool ok = std::fclose(spill_) == 0;
   spill_ = nullptr;

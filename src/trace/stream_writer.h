@@ -63,15 +63,6 @@ class TraceStreamWriter {
   void FlushChunk();
   void FailAndCleanup();
 
-  // One flushed chunk's index-footer entry (offsets spill-relative until
-  // Close rebases them past the header).
-  struct IndexEntry {
-    uint64_t offset = 0;
-    uint64_t stored = 0;
-    uint32_t records = 0;
-    ChunkZone zone;
-  };
-
   std::string path_;
   std::string spill_path_;
   const CallsiteRegistry* callsites_;
@@ -85,7 +76,7 @@ class TraceStreamWriter {
   V3EncodeScratch encode_scratch_;       // v3 columns and dictionary, reused per chunk
   uint32_t chunk_records_ = 0;           // records in the open chunk
   uint64_t spill_bytes_ = 0;             // bytes already flushed to the spill
-  std::vector<IndexEntry> index_;
+  std::vector<TraceChunkRef> index_;     // offsets spill-relative until Close
   uint64_t records_ = 0;
   bool ok_ = true;
   bool closed_ = false;

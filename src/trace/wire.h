@@ -1,9 +1,9 @@
 // Little-endian wire helpers shared by the trace-file formats.
 //
-// Both the monolithic v1 layout and the chunked v2 layout (file.h,
-// chunked.h) are built from the same primitives: fixed-width LE integers,
-// length-prefixed strings, and the call-site table encoding. Keeping them
-// here means the two parsers cannot drift apart.
+// Every trace layout (file.h) is built from the same primitives:
+// fixed-width LE integers, varints, length-prefixed strings, and the
+// call-site table encoding. The writers (file.cc, stream_writer.cc), the
+// one parser (chunked.cc) and the v3 codec (codec.cc) all use these.
 
 #ifndef TEMPO_SRC_TRACE_WIRE_H_
 #define TEMPO_SRC_TRACE_WIRE_H_
@@ -18,8 +18,7 @@
 namespace tempo {
 namespace wire {
 
-// File magics shared by file.cc (whole-buffer parse) and chunked.cc
-// (streaming parse).
+// File magics shared by the writers (file.cc) and the parser (chunked.cc).
 inline constexpr char kTraceMagic[8] = {'T', 'E', 'M', 'P', 'O', 'T', 'R', 'C'};
 inline constexpr char kTraceIndexMagic[8] = {'T', 'E', 'M', 'P', 'O', 'I', 'D', 'X'};
 

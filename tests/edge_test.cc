@@ -74,18 +74,6 @@ TEST(CodecFuzzTest, RandomBytesNeverCrashDecoder) {
   }
 }
 
-TEST(CodecFuzzTest, RandomTraceBytesNeverCrashTraceDecoder) {
-  Rng rng(23);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<uint8_t> bytes(static_cast<size_t>(rng.UniformInt(0, 4096)));
-    for (auto& b : bytes) {
-      b = static_cast<uint8_t>(rng.NextU64());
-    }
-    const auto records = DecodeTrace(bytes);
-    EXPECT_LE(records.size(), bytes.size() / kEncodedRecordSize + 1);
-  }
-}
-
 // --- event queue compaction stress ---
 
 TEST(EventQueueStressTest, IndexCompactionSurvivesManyCycles) {

@@ -352,38 +352,6 @@ INSTANTIATE_TEST_SUITE_P(AllOps, CodecRoundTripTest,
                                            TimerOp::kExpire, TimerOp::kBlock,
                                            TimerOp::kUnblock));
 
-TEST(CodecTest, TraceRoundTrip) {
-  std::vector<TraceRecord> records;
-  for (int i = 0; i < 100; ++i) {
-    TraceRecord r = MakeRecord(i * kMillisecond, TimerOp::kSet, static_cast<TimerId>(i));
-    r.timeout = i * kMicrosecond;
-    records.push_back(r);
-  }
-  const auto bytes = EncodeTrace(records);
-  EXPECT_EQ(bytes.size(), records.size() * kEncodedRecordSize);
-  const auto decoded = DecodeTrace(bytes);
-  ASSERT_EQ(decoded.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(decoded[i].timestamp, records[i].timestamp);
-    EXPECT_EQ(decoded[i].timer, records[i].timer);
-  }
-}
-
-TEST(CodecTest, CorruptOpStopsDecoding) {
-  std::vector<TraceRecord> records = {MakeRecord(0, TimerOp::kSet, 1),
-                                      MakeRecord(1, TimerOp::kSet, 2)};
-  auto bytes = EncodeTrace(records);
-  bytes[40] = 0xff;  // corrupt the first record's op
-  EXPECT_TRUE(DecodeTrace(bytes).empty());
-}
-
-TEST(CodecTest, TrailingPartialRecordIgnored) {
-  std::vector<TraceRecord> records = {MakeRecord(0, TimerOp::kSet, 1)};
-  auto bytes = EncodeTrace(records);
-  bytes.resize(bytes.size() + 10, 0);  // garbage tail
-  EXPECT_EQ(DecodeTrace(bytes).size(), 1u);
-}
-
 TEST(CodecTest, FormatRecordMentionsOpAndCallsite) {
   CallsiteRegistry registry;
   TraceRecord r = MakeRecord(kSecond, TimerOp::kCancel, 3);
