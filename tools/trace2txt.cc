@@ -8,8 +8,8 @@
 // same TraceChunkReader; a v3 file with a codec this build does not know
 // is reported as such, not as corruption.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/trace/chunked.h"
@@ -31,6 +31,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  uint64_t limit = UINT64_MAX;
+  if (args.positionals().size() >= 2) {
+    limit = tools::ParseUint("limit", args.positionals()[1]);
+  }
+  limit = args.UintValue("limit", limit);
+
   const std::string& path = args.positionals()[0];
   TraceReadError read_error = TraceReadError::kIo;
   const auto reader = TraceChunkReader::Open(path, &read_error);
@@ -38,12 +44,6 @@ int main(int argc, char** argv) {
     tools::PrintTraceReadError(path, read_error);
     return 1;
   }
-
-  uint64_t limit = reader->record_count();
-  if (args.positionals().size() >= 2) {
-    limit = std::strtoull(args.positionals()[1].c_str(), nullptr, 10);
-  }
-  limit = args.UintValue("limit", limit);
 
   TraceChunkReader::Cursor cursor = reader->MakeCursor();
   uint64_t printed = 0;
