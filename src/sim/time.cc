@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace tempo {
 
@@ -9,7 +10,10 @@ std::string FormatDuration(SimDuration d) {
   const char* sign = "";
   if (d < 0) {
     sign = "-";
-    d = -d;
+    // The most negative duration has no positive twin; 1 ns short of it
+    // prints the same at six significant digits.
+    d = d == std::numeric_limits<SimDuration>::min() ? std::numeric_limits<SimDuration>::max()
+                                                     : -d;
   }
   char buf[64];
   if (d >= kSecond) {

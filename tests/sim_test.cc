@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -46,6 +47,9 @@ TEST(TimeTest, FormatDurationPicksUnits) {
   EXPECT_EQ(FormatDuration(12), "12ns");
   EXPECT_EQ(FormatDuration(-2 * kSecond), "-2s");
   EXPECT_EQ(FormatDuration(7200 * kSecond), "7200s");
+  // A damaged trace can carry any 64-bit value, including one with no
+  // positive twin.
+  EXPECT_EQ(FormatDuration(std::numeric_limits<SimDuration>::min()), "-9.22337e+09s");
 }
 
 // --- random.h ---
