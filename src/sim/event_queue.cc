@@ -1,89 +1,103 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace tempo {
 
 EventId EventQueue::Schedule(SimTime at, std::function<void()> fn) {
-  const EventId id = next_seq_++;
-  auto slot = std::make_shared<std::function<void()>>(std::move(fn));
-  index_.emplace_back(id, slot);
-  heap_.push(Entry{at, id, std::move(slot)});
-  ++live_;
-  return id;
+  assert(fn && "an event needs a callback");
+  uint32_t index;
+  if (free_slots_.empty()) {
+    assert(slots_.size() < kFree);
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
+  const Entry entry{at, next_seq_++, index};
+  heap_.push_back(entry);
+  SiftUp(heap_.size() - 1, entry);
+  return (EventId{slot.generation} << 32) | index;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  // index_ is sorted by id (ids are assigned monotonically), so binary
-  // search the live suffix.
-  auto begin = index_.begin() + static_cast<ptrdiff_t>(index_head_);
-  auto it = std::lower_bound(begin, index_.end(), id,
-                             [](const auto& p, EventId want) { return p.first < want; });
-  if (it == index_.end() || it->first != id) {
+  const uint64_t index = id & UINT32_MAX;
+  if (index >= slots_.size()) {
     return false;
   }
-  auto slot = it->second.lock();
-  if (!slot || !*slot) {
-    return false;  // already fired or already canceled
+  Slot& slot = slots_[index];
+  if (slot.heap_pos == kFree || slot.generation != static_cast<uint32_t>(id >> 32)) {
+    return false;  // fired, running, canceled, or never issued
   }
-  *slot = nullptr;
-  assert(live_ > 0);
-  --live_;
+  // The callback is destroyed only once the queue is consistent again, so
+  // whatever its captures' destructors do sees a well-formed queue.
+  const std::function<void()> doomed = std::move(slot.fn);
+  RemoveAt(slot.heap_pos);
+  Release(static_cast<uint32_t>(index));
   return true;
 }
 
-SimTime EventQueue::NextTime() const {
-  // The heap head may be a canceled entry; we cannot drop it here without
-  // mutating, so scan conservatively via const_cast-free copy of behaviour:
-  // canceled entries are dropped in Pop()/DropCanceledHead(). For NextTime
-  // we only need an upper bound that is exact when the head is live, which
-  // Simulator guarantees by calling DropCanceledHead() via Pop(). To keep
-  // the answer exact we treat this method as logically non-const mutation of
-  // the lazy-deletion state.
-  auto* self = const_cast<EventQueue*>(this);
-  self->DropCanceledHead();
-  if (heap_.empty()) {
-    return kNeverTime;
-  }
-  return heap_.top().at;
-}
-
-void EventQueue::DropCanceledHead() {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    if (top.fn && *top.fn) {
-      return;
-    }
-    heap_.pop();
-  }
-  // Heap drained: compact the id index.
-  index_.clear();
-  index_head_ = 0;
-}
-
 EventQueue::Fired EventQueue::Pop() {
-  DropCanceledHead();
   assert(!heap_.empty());
-  Entry top = heap_.top();
-  heap_.pop();
-  assert(live_ > 0);
-  --live_;
-  Fired fired{top.at, top.id, std::move(*top.fn)};
-  *top.fn = nullptr;  // mark fired so Cancel() on this id returns false
-  // Compact the index prefix: everything with id <= this one that is dead.
-  while (index_head_ < index_.size()) {
-    auto slot = index_[index_head_].second.lock();
-    if (slot && *slot) {
+  const Entry top = heap_.front();
+  Slot& slot = slots_[top.slot];
+  Fired fired{top.at, (EventId{slot.generation} << 32) | top.slot, std::move(slot.fn)};
+  RemoveAt(0);
+  Release(top.slot);
+  return fired;
+}
+
+void EventQueue::SiftUp(size_t hole, Entry entry) {
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!Before(entry, heap_[parent])) {
       break;
     }
-    ++index_head_;
+    Place(hole, heap_[parent]);
+    hole = parent;
   }
-  if (index_head_ > 4096 && index_head_ * 2 > index_.size()) {
-    index_.erase(index_.begin(), index_.begin() + static_cast<ptrdiff_t>(index_head_));
-    index_head_ = 0;
+  Place(hole, entry);
+}
+
+void EventQueue::SiftDown(size_t hole, Entry entry) {
+  const size_t n = heap_.size();
+  for (size_t child = 2 * hole + 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], entry)) {
+      break;
+    }
+    Place(hole, heap_[child]);
+    hole = child;
   }
-  return fired;
+  Place(hole, entry);
+}
+
+void EventQueue::RemoveAt(size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;  // the removed entry was the last one
+  }
+  if (pos > 0 && Before(last, heap_[(pos - 1) / 2])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
+}
+
+void EventQueue::Release(uint32_t index) {
+  Slot& slot = slots_[index];
+  slot.heap_pos = kFree;
+  if (++slot.generation == 0) {
+    slot.generation = 1;
+  }
+  free_slots_.push_back(index);
 }
 
 }  // namespace tempo

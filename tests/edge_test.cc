@@ -1,6 +1,6 @@
 // Edge-case tests across modules: wheel cascade boundaries, codec fuzzing,
-// event-queue compaction stress, FIFO network ordering, workload app
-// models, and HTTP failure paths.
+// event-queue stale-id stress, FIFO network ordering, workload app models,
+// and HTTP failure paths.
 
 #include <gtest/gtest.h>
 
@@ -74,17 +74,26 @@ TEST(CodecFuzzTest, RandomBytesNeverCrashDecoder) {
   }
 }
 
-// --- event queue compaction stress ---
+// --- event queue stale-id stress ---
 
-TEST(EventQueueStressTest, IndexCompactionSurvivesManyCycles) {
+TEST(EventQueueStressTest, StaleIdsRejectedAcrossManyCycles) {
   EventQueue queue;
   uint64_t fired = 0;
-  // Push through well past the 4096-entry compaction threshold repeatedly.
+  // Fill and drain the queue repeatedly, so every slot is reused many
+  // times over.
+  std::vector<EventId> previous;
   for (int round = 0; round < 5; ++round) {
     std::vector<EventId> ids;
     for (int i = 0; i < 6000; ++i) {
       ids.push_back(queue.Schedule(i, [&fired] { ++fired; }));
     }
+    // The previous round's ids name slots that now hold this round's
+    // events; none of them may cancel one.
+    int stale_canceled = 0;
+    for (const EventId stale : previous) {
+      stale_canceled += queue.Cancel(stale) ? 1 : 0;
+    }
+    EXPECT_EQ(stale_canceled, 0);
     // Cancel every third, pop the rest.
     for (size_t i = 0; i < ids.size(); i += 3) {
       queue.Cancel(ids[i]);
@@ -94,6 +103,7 @@ TEST(EventQueueStressTest, IndexCompactionSurvivesManyCycles) {
     }
     // Stale ids from this round must not cancel anything ever again.
     EXPECT_FALSE(queue.Cancel(ids[1]));
+    previous = std::move(ids);
   }
   EXPECT_EQ(fired, 5u * 4000u);
 }
