@@ -38,7 +38,7 @@ KTimer* VistaKernel::AllocateTimer(const std::string& callsite, Pid pid, Tid tid
     raw->id = next_timer_id_++;  // identity == storage address
   }
   raw->callsite = callsites_.Intern(callsite, parent);
-  raw->stack = callsites_.InternStack(callsites_.Chain(raw->callsite));
+  raw->stack = callsites_.ChainStack(raw->callsite);
   raw->pid = pid;
   raw->tid = tid;
   raw->dynamic = dynamic;
@@ -159,7 +159,7 @@ VistaKernel::Wait* VistaKernel::BlockThread(Pid pid, Tid tid, const std::string&
   }
   wait->timer_ = slot;
   wait->timer_->callsite = wait->callsite_;
-  wait->timer_->stack = callsites_.InternStack(callsites_.Chain(wait->callsite_));
+  wait->timer_->stack = callsites_.ChainStack(wait->callsite_);
 
   TraceRecord r;
   r.timestamp = wait->block_start_;

@@ -8,6 +8,7 @@ CallsiteRegistry::CallsiteRegistry() {
   // Slot 0: the unknown call-site / empty stack.
   names_.push_back("?");
   parents_.push_back(kUnknownCallsite);
+  chain_stacks_.push_back(kEmptyStack);
   by_name_.emplace("?", kUnknownCallsite);
   stacks_.emplace_back();
 }
@@ -20,6 +21,7 @@ CallsiteId CallsiteRegistry::Intern(const std::string& name, CallsiteId parent) 
   const CallsiteId id = static_cast<CallsiteId>(names_.size());
   names_.push_back(name);
   parents_.push_back(parent);
+  chain_stacks_.push_back(kEmptyStack);
   by_name_.emplace(name, id);
   return id;
 }
@@ -60,6 +62,16 @@ StackId CallsiteRegistry::InternStack(const std::vector<CallsiteId>& frames) {
   stacks_.push_back(frames);
   stacks_by_key_.emplace(std::move(key), id);
   return id;
+}
+
+StackId CallsiteRegistry::ChainStack(CallsiteId id) {
+  assert(id < chain_stacks_.size());
+  if (chain_stacks_[id] == kEmptyStack) {
+    // The unknown call-site's chain is empty, so it is looked up each time;
+    // that costs no allocation.
+    chain_stacks_[id] = InternStack(Chain(id));
+  }
+  return chain_stacks_[id];
 }
 
 const std::vector<CallsiteId>& CallsiteRegistry::Stack(StackId id) const {

@@ -44,6 +44,11 @@ class CallsiteRegistry {
   // Interns a call stack (leaf first). The empty stack is kEmptyStack.
   StackId InternStack(const std::vector<CallsiteId>& frames);
 
+  // InternStack(Chain(id)), interned on a call-site's first use and cached
+  // after that. A chain never changes once interned, because re-interning
+  // a name leaves its parent unchanged; stack ids keep first-use order.
+  StackId ChainStack(CallsiteId id);
+
   // Frames of an interned stack, leaf first.
   const std::vector<CallsiteId>& Stack(StackId id) const;
 
@@ -52,6 +57,7 @@ class CallsiteRegistry {
  private:
   std::vector<std::string> names_;
   std::vector<CallsiteId> parents_;
+  std::vector<StackId> chain_stacks_;  // kEmptyStack until first ChainStack
   std::unordered_map<std::string, CallsiteId> by_name_;
   std::vector<std::vector<CallsiteId>> stacks_;
   std::unordered_map<std::string, StackId> stacks_by_key_;

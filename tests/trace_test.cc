@@ -72,6 +72,28 @@ TEST(CallsiteTest, StackInterningDeduplicates) {
   EXPECT_EQ(registry.Stack(s1), (std::vector<CallsiteId>{a, b}));
 }
 
+TEST(CallsiteTest, ChainStackMatchesInternedChain) {
+  CallsiteRegistry registry;
+  const CallsiteId ip = registry.Intern("net/ip");
+  const CallsiteId tcp = registry.Intern("net/tcp", ip);
+  const CallsiteId app = registry.Intern("app/rpc", tcp);
+  // Re-interning with another parent returns the same id and keeps the
+  // chain, so the cached stack stays right.
+  EXPECT_EQ(registry.Intern("net/tcp", kUnknownCallsite), tcp);
+  EXPECT_EQ(registry.ChainStack(kUnknownCallsite), kEmptyStack);
+  for (const CallsiteId id : {tcp, app, ip, tcp, app}) {
+    SCOPED_TRACE(registry.Name(id));
+    const StackId cached = registry.ChainStack(id);
+    EXPECT_EQ(cached, registry.InternStack(registry.Chain(id)));
+    EXPECT_EQ(registry.Stack(cached), registry.Chain(id));
+  }
+  // Stack ids keep first-use order: tcp's two-frame chain came first.
+  EXPECT_EQ(registry.ChainStack(tcp), 1u);
+  EXPECT_EQ(registry.ChainStack(app), 2u);
+  EXPECT_EQ(registry.ChainStack(ip), 3u);
+  EXPECT_EQ(registry.Stack(registry.ChainStack(app)).size(), 3u);
+}
+
 TEST(CallsiteTest, EmptyStackIsSlotZero) {
   CallsiteRegistry registry;
   EXPECT_EQ(registry.InternStack({}), kEmptyStack);
