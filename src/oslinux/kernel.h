@@ -165,7 +165,8 @@ class LinuxKernel {
 
   HierarchicalWheelTimerQueue wheel_{kJiffy};
   // Pending non-deferrable expiries; what dynticks consults to pick the
-  // next mandatory wakeup.
+  // next mandatory wakeup. Kept only while dynticks is on: nothing else
+  // reads it.
   std::multiset<Jiffies> pending_wakeups_;
 
   TreeTimerQueue hr_tree_;
