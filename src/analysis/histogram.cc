@@ -72,15 +72,14 @@ ValueHistogram HistogramPass::Result() const {
     // Identify countdown timers now that every episode is known, then
     // back their contributions out — identical counts to the serial
     // filter that skipped their records up front.
-    EpisodeBuilder copy = episodes_;
-    for (const auto& group : GroupEpisodes(std::move(copy).Finish())) {
+    episodes_.ForEachGroup([&](const std::vector<Episode>& group) {
       const TimerClass c = ClassifyGroup(group, options_.classify);
       if (c.pattern != UsagePattern::kCountdown || c.key.b != 0) {
-        continue;
+        return;
       }
       const auto it = per_timer_.find(c.key.a);
       if (it == per_timer_.end()) {
-        continue;
+        return;
       }
       for (const auto& [key, count] : it->second) {
         auto bucket = counts.find(key);
@@ -90,7 +89,7 @@ ValueHistogram HistogramPass::Result() const {
         }
         total -= count;
       }
-    }
+    });
   }
 
   ValueHistogram histogram;

@@ -138,102 +138,49 @@ void SlackState::CloseFired(const OpenArm& arm, SimTime fire) {
   by_callsite_[arm.callsite].Add(slack);
 }
 
+void SlackState::EndSpan(const OpenArm& arm, EpisodeEnd end, SimTime at) {
+  switch (end) {
+    case EpisodeEnd::kReset:
+      // Arming a pending timer abandons the previous span.
+      ++rearmed_spans_;
+      break;
+    case EpisodeEnd::kCanceled:
+      ++canceled_spans_;
+      break;
+    case EpisodeEnd::kExpired:
+      CloseFired(arm, at);
+      break;
+    case EpisodeEnd::kOpen:
+      break;
+  }
+}
+
 void SlackState::Accumulate(std::span<const TraceRecord> records) {
   for (const TraceRecord& r : records) {
-    if (r.op != TimerOp::kInit) {
-      first_op_.emplace(r.timer, FirstOp{r.op, r.timestamp, r.flags});
+    if (r.op == TimerOp::kInit) {
+      continue;
     }
-    switch (r.op) {
-      case TimerOp::kInit:
-        break;
-      case TimerOp::kSet:
-      case TimerOp::kBlock: {
-        auto [it, inserted] = open_.try_emplace(r.timer);
-        if (!inserted) {
-          // Arming a pending timer abandons the previous span.
-          ++rearmed_spans_;
-        }
-        it->second = OpenArm{r.timestamp, r.timeout, r.expiry, r.callsite, r.pid, r.flags};
-        break;
+    auto& entry = join_.Touch(r);
+    if (entry.open) {
+      EndSpan(entry.value, EndFor(r.op, r.flags), r.timestamp);
+      if (!IsArm(r.op)) {
+        join_.Disarm(entry);
       }
-      case TimerOp::kCancel: {
-        auto it = open_.find(r.timer);
-        if (it == open_.end()) {
-          ++unmatched_closes_;
-        } else {
-          ++canceled_spans_;
-          open_.erase(it);
-        }
-        break;
-      }
-      case TimerOp::kExpire: {
-        auto it = open_.find(r.timer);
-        if (it == open_.end()) {
-          ++unmatched_closes_;
-        } else {
-          CloseFired(it->second, r.timestamp);
-          open_.erase(it);
-        }
-        break;
-      }
-      case TimerOp::kUnblock: {
-        auto it = open_.find(r.timer);
-        if (it == open_.end()) {
-          ++unmatched_closes_;
-        } else {
-          if ((r.flags & kFlagWaitSatisfied) != 0) {
-            ++canceled_spans_;
-          } else {
-            CloseFired(it->second, r.timestamp);
-          }
-          open_.erase(it);
-        }
-        break;
-      }
+    } else if (!IsArm(r.op)) {
+      ++unmatched_closes_;
+    }
+    if (IsArm(r.op)) {
+      join_.Arm(entry, OpenArm{r.timestamp, r.timeout, r.expiry, r.callsite, r.pid, r.flags});
     }
   }
 }
 
 void SlackState::Merge(SlackState&& later) {
-  // Close our still-open arms with the later range's first operation on
-  // the same timer — exactly what the serial scan would do next. The
-  // later range counted that closing op as unmatched (it had no arm for
-  // it), so re-attribute it here.
-  for (auto it = open_.begin(); it != open_.end();) {
-    const auto fo = later.first_op_.find(it->first);
-    if (fo == later.first_op_.end()) {
-      ++it;
-      continue;
-    }
-    switch (fo->second.op) {
-      case TimerOp::kSet:
-      case TimerOp::kBlock:
-        // The later range opened a fresh span on this timer; ours was
-        // abandoned, which its fold could not have counted.
-        ++rearmed_spans_;
-        break;
-      case TimerOp::kCancel:
-        ++canceled_spans_;
-        --later.unmatched_closes_;
-        break;
-      case TimerOp::kExpire:
-        CloseFired(it->second, fo->second.timestamp);
-        --later.unmatched_closes_;
-        break;
-      case TimerOp::kUnblock:
-        if ((fo->second.flags & kFlagWaitSatisfied) != 0) {
-          ++canceled_spans_;
-        } else {
-          CloseFired(it->second, fo->second.timestamp);
-        }
-        --later.unmatched_closes_;
-        break;
-      case TimerOp::kInit:
-        break;  // never recorded as a first op
-    }
-    it = open_.erase(it);
+  if (join_.size() == 0) {
+    // No non-init record yet, so every aggregate is still empty.
+    *this = std::move(later);
+    return;
   }
-
   total_.Merge(later.total_);
   firing_.Merge(later.firing_);
   skew_.Merge(later.skew_);
@@ -250,13 +197,18 @@ void SlackState::Merge(SlackState&& later) {
   for (const auto& [callsite, blame] : later.by_callsite_) {
     by_callsite_[callsite].Merge(blame);
   }
-  // Timers we still hold open were untouched by the later range, so the
-  // two open sets are disjoint.
-  for (auto& [timer, arm] : later.open_) {
-    open_.emplace(timer, arm);
-  }
-  // Keep the earliest first op per timer (ours wins).
-  first_op_.merge(later.first_op_);
+  // Close our still-open arms with the later range's first operation on
+  // the same timer. The later range counted a closing op there as
+  // unmatched (it had no arm for it), so re-attribute it.
+  join_.Merge(
+      std::move(later.join_),
+      [this](const OpenArm& arm, const FirstOp& first) {
+        EndSpan(arm, EndFor(first.op, first.flags), first.timestamp);
+        if (!IsArm(first.op)) {
+          --unmatched_closes_;
+        }
+      },
+      [](const OpenArm& arm) { return arm; });
 }
 
 std::unique_ptr<AnalysisPass> LatencyPass::Fork() const {

@@ -22,10 +22,11 @@
 // SlackState is the mergeable single-stream fold shared by the offline
 // LatencyPass and the live SlackTracker (src/live/slack_tracker.h), which
 // is what makes "live == offline over the same records" a structural fact
-// rather than a test hope. The join is per TimerId; Vista-style
-// kFlagDynamicAlloc ids (fresh id per use, Section 3.3) still join exactly
-// because each use gets a unique id, and the blame table clusters them
-// back together by call-site.
+// rather than a test hope. The join is per TimerId, in the flat
+// TimerJoin table the episode builder uses too (lifetimes.h), so the two
+// folds share one merge rule; Vista-style kFlagDynamicAlloc ids (fresh id
+// per use, Section 3.3) still join exactly because each use gets a unique
+// id, and the blame table clusters them back together by call-site.
 
 #ifndef TEMPO_SRC_ANALYSIS_LATENCY_H_
 #define TEMPO_SRC_ANALYSIS_LATENCY_H_
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/lifetimes.h"
 #include "src/analysis/pass.h"
 #include "src/sim/process.h"
 #include "src/trace/callsite.h"
@@ -116,10 +118,12 @@ struct SlackBlame {
 // The mergeable set->fire join. Feed time-ordered batches with Accumulate;
 // to combine two states that covered adjacent ranges of the same trace,
 // call left.Merge(std::move(right)) where `right` saw strictly later
-// records. The merge is exact (the EpisodeBuilder discipline): a span left
-// open at the end of the left range is closed by the right range's first
-// operation on that timer, and a closing op the right range counted as
-// unmatched is re-attributed once the left range supplies its arm.
+// records. The merge is exact (TimerJoin's rule, shared with
+// EpisodeBuilder): a span left open at the end of the left range is closed
+// by the right range's first operation on that timer, and a closing op the
+// right range counted as unmatched is re-attributed once the left range
+// supplies its arm. Equality compares open arms and first ops by content,
+// not by table layout.
 class SlackState {
  public:
   void Accumulate(std::span<const TraceRecord> records);
@@ -141,7 +145,7 @@ class SlackState {
   uint64_t early_fires() const { return early_fires_; }
   // Closing ops with no matching arm in the observed range.
   uint64_t unmatched_closes() const { return unmatched_closes_; }
-  uint64_t open_spans() const { return open_.size(); }
+  uint64_t open_spans() const { return join_.open_count(); }
 
   const std::map<Pid, SlackBlame>& by_pid() const { return by_pid_; }
   const std::map<CallsiteId, SlackBlame>& by_callsite() const { return by_callsite_; }
@@ -159,16 +163,9 @@ class SlackState {
     uint16_t flags = 0;
     bool operator==(const OpenArm&) const = default;
   };
-  // First non-init operation per timer in this state's range; what a
-  // preceding range's open arm on that timer gets closed by.
-  struct FirstOp {
-    TimerOp op;
-    SimTime timestamp;
-    uint16_t flags;
-    bool operator==(const FirstOp&) const = default;
-  };
-
   void CloseFired(const OpenArm& arm, SimTime fire);
+  // Counts how a span armed as `arm` ended.
+  void EndSpan(const OpenArm& arm, EpisodeEnd end, SimTime at);
 
   SlackHist total_;
   SlackHist firing_;
@@ -180,8 +177,7 @@ class SlackState {
   uint64_t unmatched_closes_ = 0;
   std::map<Pid, SlackBlame> by_pid_;
   std::map<CallsiteId, SlackBlame> by_callsite_;
-  std::map<TimerId, OpenArm> open_;
-  std::map<TimerId, FirstOp> first_op_;
+  TimerJoin<OpenArm> join_;
 };
 
 struct LatencyOptions {

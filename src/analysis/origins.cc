@@ -95,11 +95,10 @@ void OriginsPass::Merge(AnalysisPass&& other) {
 }
 
 std::vector<OriginRow> OriginsPass::Result() const {
-  EpisodeBuilder copy = episodes_;  // Finish consumes; keep the pass reusable
   std::vector<TimerClass> classes;
-  for (const auto& group : GroupEpisodes(std::move(copy).Finish())) {
+  episodes_.ForEachGroup([&](const std::vector<Episode>& group) {
     classes.push_back(ClassifyGroup(group, options_.classify));
-  }
+  });
   return ComputeOriginsFromClasses(classes, *callsites_, options_);
 }
 

@@ -120,39 +120,6 @@ std::vector<ProvenanceNode> BuildProvenanceForest(const std::vector<TraceRecord>
   return pass.Result();
 }
 
-std::vector<BlameEntry> BlameFromEpisodes(const std::vector<Episode>& episodes,
-                                          const CallsiteRegistry& callsites, SimTime start,
-                                          SimTime end) {
-  std::map<CallsiteId, BlameEntry> by_site;
-  for (const Episode& e : episodes) {
-    const SimTime episode_end = e.end == EpisodeEnd::kOpen ? end : e.end_time;
-    const SimTime overlap_start = std::max(e.set_time, start);
-    const SimTime overlap_end = std::min(episode_end, end);
-    if (overlap_end <= overlap_start) {
-      continue;
-    }
-    BlameEntry& entry = by_site[e.callsite];
-    entry.callsite = e.callsite;
-    ++entry.episodes;
-    const SimDuration held = overlap_end - overlap_start;
-    entry.held += held;
-    entry.longest = std::max(entry.longest, held);
-  }
-  std::vector<BlameEntry> out;
-  out.reserve(by_site.size());
-  for (auto& [id, entry] : by_site) {
-    entry.name = callsites.Name(id);
-    out.push_back(std::move(entry));
-  }
-  std::sort(out.begin(), out.end(), [](const BlameEntry& a, const BlameEntry& b) {
-    if (a.held != b.held) {
-      return a.held > b.held;
-    }
-    return a.name < b.name;
-  });
-  return out;
-}
-
 void BlamePass::Accumulate(std::span<const TraceRecord> records) {
   episodes_.Accumulate(records);
 }
@@ -162,8 +129,36 @@ void BlamePass::Merge(AnalysisPass&& other) {
 }
 
 std::vector<BlameEntry> BlamePass::Result() const {
-  EpisodeBuilder copy = episodes_;  // Finish consumes; keep the pass reusable
-  return BlameFromEpisodes(std::move(copy).Finish(), *callsites_, start_, end_);
+  std::map<CallsiteId, BlameEntry> by_site;
+  episodes_.ForEachGroup([&](const std::vector<Episode>& group) {
+    for (const Episode& e : group) {
+      const SimTime episode_end = e.end == EpisodeEnd::kOpen ? end_ : e.end_time;
+      const SimTime overlap_start = std::max(e.set_time, start_);
+      const SimTime overlap_end = std::min(episode_end, end_);
+      if (overlap_end <= overlap_start) {
+        continue;
+      }
+      BlameEntry& entry = by_site[e.callsite];
+      entry.callsite = e.callsite;
+      ++entry.episodes;
+      const SimDuration held = overlap_end - overlap_start;
+      entry.held += held;
+      entry.longest = std::max(entry.longest, held);
+    }
+  });
+  std::vector<BlameEntry> out;
+  out.reserve(by_site.size());
+  for (auto& [id, entry] : by_site) {
+    entry.name = callsites_->Name(id);
+    out.push_back(std::move(entry));
+  }
+  std::sort(out.begin(), out.end(), [](const BlameEntry& a, const BlameEntry& b) {
+    if (a.held != b.held) {
+      return a.held > b.held;
+    }
+    return a.name < b.name;
+  });
+  return out;
 }
 
 std::unique_ptr<AnalysisPass> BlamePass::Fork() const {

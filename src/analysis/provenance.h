@@ -78,11 +78,6 @@ struct BlameEntry {
   SimDuration longest = 0;     // longest single episode within the window
 };
 
-// Aggregates a blame report from already-built episodes.
-std::vector<BlameEntry> BlameFromEpisodes(const std::vector<Episode>& episodes,
-                                          const CallsiteRegistry& callsites, SimTime start,
-                                          SimTime end);
-
 // Streaming blame report as an AnalysisPass (records stream into an
 // EpisodeBuilder; the window aggregation runs at Result). The registry
 // must outlive the pass.

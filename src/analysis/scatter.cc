@@ -9,24 +9,26 @@
 
 namespace tempo {
 
-std::vector<ScatterPoint> ComputeScatter(const std::vector<Episode>& episodes,
-                                         const ScatterOptions& options) {
-  struct Key {
-    int timeout_bucket;
-    int percent_bucket;
-    bool expired;
-    bool operator<(const Key& o) const {
-      if (timeout_bucket != o.timeout_bucket) {
-        return timeout_bucket < o.timeout_bucket;
-      }
-      if (percent_bucket != o.percent_bucket) {
-        return percent_bucket < o.percent_bucket;
-      }
-      return expired < o.expired;
-    }
-  };
-  std::map<Key, uint64_t> buckets;
+namespace {
 
+struct BucketKey {
+  int timeout_bucket;
+  int percent_bucket;
+  bool expired;
+  bool operator<(const BucketKey& o) const {
+    if (timeout_bucket != o.timeout_bucket) {
+      return timeout_bucket < o.timeout_bucket;
+    }
+    if (percent_bucket != o.percent_bucket) {
+      return percent_bucket < o.percent_bucket;
+    }
+    return expired < o.expired;
+  }
+};
+using Buckets = std::map<BucketKey, uint64_t>;
+
+void AddEpisodes(const std::vector<Episode>& episodes, const ScatterOptions& options,
+                 Buckets* buckets) {
   for (const Episode& e : episodes) {
     if (e.timeout <= 0) {
       continue;  // immediate / past expiry: not plotted
@@ -55,14 +57,16 @@ std::vector<ScatterPoint> ComputeScatter(const std::vector<Episode>& episodes,
     if (pct > options.max_percent) {
       continue;  // figure cut-off
     }
-    Key key{};
+    BucketKey key{};
     key.timeout_bucket = static_cast<int>(std::floor(
         std::log10(ToSeconds(e.timeout)) * options.buckets_per_decade));
     key.percent_bucket = static_cast<int>(std::floor(pct / options.percent_bucket));
     key.expired = expired;
-    ++buckets[key];
+    ++(*buckets)[key];
   }
+}
 
+std::vector<ScatterPoint> Points(const Buckets& buckets, const ScatterOptions& options) {
   std::vector<ScatterPoint> points;
   points.reserve(buckets.size());
   for (const auto& [key, count] : buckets) {
@@ -78,6 +82,8 @@ std::vector<ScatterPoint> ComputeScatter(const std::vector<Episode>& episodes,
   return points;
 }
 
+}  // namespace
+
 void ScatterPass::Accumulate(std::span<const TraceRecord> records) {
   episodes_.Accumulate(records);
 }
@@ -87,8 +93,10 @@ void ScatterPass::Merge(AnalysisPass&& other) {
 }
 
 std::vector<ScatterPoint> ScatterPass::Result() const {
-  EpisodeBuilder copy = episodes_;  // Finish consumes; keep the pass reusable
-  return ComputeScatter(std::move(copy).Finish(), options_);
+  Buckets buckets;
+  episodes_.ForEachGroup(
+      [&](const std::vector<Episode>& group) { AddEpisodes(group, options_, &buckets); });
+  return Points(buckets, options_);
 }
 
 std::unique_ptr<AnalysisPass> ScatterPass::Fork() const {

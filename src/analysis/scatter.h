@@ -55,11 +55,7 @@ class ScatterPass : public AnalysisPass {
   EpisodeBuilder episodes_;
 };
 
-// Builds scatter points from a trace's episodes.
-std::vector<ScatterPoint> ComputeScatter(const std::vector<Episode>& episodes,
-                                         const ScatterOptions& options);
-
-// Convenience: episodes from records, then scatter.
+// Scatter points of a trace: episodes from records, then buckets.
 // Legacy whole-vector entry point, kept as a thin wrapper over
 // ScatterPass — prefer the pass for anything that may grow large.
 std::vector<ScatterPoint> ComputeScatter(const std::vector<TraceRecord>& records,

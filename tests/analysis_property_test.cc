@@ -75,6 +75,15 @@ RandomTrace Generate(uint64_t seed, size_t steps) {
   return trace;
 }
 
+// The episode groups the classifier reads, in key order.
+std::vector<std::vector<Episode>> Groups(const std::vector<TraceRecord>& records) {
+  EpisodeBuilder builder;
+  builder.Accumulate(records);
+  std::vector<std::vector<Episode>> groups;
+  builder.ForEachGroup([&groups](const std::vector<Episode>& group) { groups.push_back(group); });
+  return groups;
+}
+
 class AnalysisPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AnalysisPropertyTest, EpisodesConserveArmingRecords) {
@@ -126,7 +135,7 @@ TEST_P(AnalysisPropertyTest, GroupsPartitionEpisodes) {
   const RandomTrace trace = Generate(GetParam(), 3000);
   const auto episodes = BuildEpisodes(trace.records);
   size_t grouped = 0;
-  for (const auto& group : GroupEpisodes(episodes)) {
+  for (const auto& group : Groups(trace.records)) {
     EXPECT_FALSE(group.empty());
     for (size_t i = 1; i < group.size(); ++i) {
       EXPECT_GE(group[i].set_time, group[i - 1].set_time) << "group not time-ordered";
@@ -138,7 +147,7 @@ TEST_P(AnalysisPropertyTest, GroupsPartitionEpisodes) {
 
 TEST_P(AnalysisPropertyTest, ClassifierCoversEveryGroup) {
   const RandomTrace trace = Generate(GetParam(), 3000);
-  const auto groups = GroupEpisodes(BuildEpisodes(trace.records));
+  const auto groups = Groups(trace.records);
   const auto classes = ClassifyTrace(trace.records, ClassifyOptions{});
   EXPECT_EQ(classes.size(), groups.size());
   size_t classified_episodes = 0;
