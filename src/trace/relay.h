@@ -198,6 +198,9 @@ class RelayDrainer {
   size_t staged() const;
 
  private:
+  // A channel's harvested records not yet emitted. HarvestAll drops the
+  // consumed prefix once it is half the lane, so a lane holds only its
+  // unconsumed tail plus at most as much again, not the whole run.
   struct Lane {
     std::vector<TraceRecord> staged;
     size_t head = 0;             // consumed prefix of `staged`

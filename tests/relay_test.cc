@@ -14,6 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -25,6 +28,40 @@
 #include "src/trace/file.h"
 #include "src/trace/relay.h"
 #include "src/trace/stream_writer.h"
+
+// Global operator new replacements that count calls while
+// g_count_allocations is set (RelayDrainerTest.PolledLaneStopsGrowing).
+// Every form, and every matching delete, goes through malloc and free, so
+// a sanitizer still sees one allocator family.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedMalloc(std::size_t n) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* CountedNew(std::size_t n) {
+  if (void* p = CountedMalloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedMalloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedMalloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace tempo {
 namespace {
@@ -182,6 +219,41 @@ TEST(RelayDrainerTest, StableForEqualTimestamps) {
   EXPECT_EQ(merged[0].timer, 100u);
   EXPECT_EQ(merged[1].timer, 101u);
   EXPECT_EQ(merged[2].timer, 200u);
+}
+
+// A lane polled while its producer runs never empties: the watermark
+// always holds back the records at the newest harvested timestamp. The
+// drainer must still keep only the lane's unconsumed tail, so once the
+// lane has reached its steady size, polling allocates nothing.
+TEST(RelayDrainerTest, PolledLaneStopsGrowing) {
+  RelayChannelSet channels;
+  RelayChannelConfig config;
+  config.sub_buffer_records = 64;
+  RelayChannel* lane = channels.Register("steady", config);
+  uint64_t emitted = 0;
+  RelayDrainer drainer(&channels, [&emitted](const TraceRecord&) { ++emitted; });
+  SimTime now = 0;
+  auto round = [&] {
+    for (int i = 0; i < 20; ++i) {
+      lane->TryLog(Rec(++now));
+    }
+    lane->TryLog(Rec(now));  // a tie at the newest timestamp
+    lane->FlushOpen();
+    drainer.Poll();
+    // Both records at the newest timestamp stay staged.
+    EXPECT_EQ(drainer.staged(), 2u);
+  };
+  for (int i = 0; i < 64; ++i) {
+    round();
+  }
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < 1024; ++i) {
+    round();
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(emitted, (64u + 1024u) * 21 - 2);
 }
 
 // --- TraceStreamWriter ---
