@@ -56,9 +56,13 @@ std::vector<CallsiteId> MakeSites(CallsiteRegistry* callsites) {
 // overlapping episodes that straddle any chunk boundary, re-arms, timed-out
 // and satisfied unblocks, repeated timestamps (ties at the derived trace
 // end), user and kernel records, jiffy-wheel flags, and a spread of
-// timeout values from milliseconds to minutes.
+// timeout values from milliseconds to minutes. With `dynamic`, half the
+// arms are Vista-style kFlagDynamicAlloc ones, whose ids recur across
+// call-sites, pids and tids, so (call-site, pid, tid) clusters cross
+// chunk boundaries too.
 std::vector<TraceRecord> GenerateTrace(uint64_t seed, size_t count,
-                                       const std::vector<CallsiteId>& sites) {
+                                       const std::vector<CallsiteId>& sites,
+                                       bool dynamic = false) {
   uint64_t state = seed * 0x9e3779b97f4a7c15ULL + 0x2545F4914F6CDD1DULL;
   auto next = [&state] {
     state ^= state << 13;
@@ -118,6 +122,10 @@ std::vector<TraceRecord> GenerateTrace(uint64_t seed, size_t count,
       r.expiry = r.timestamp + r.timeout;
       if (!r.is_user() && next() % 2 == 0) {
         r.flags |= kFlagJiffyWheel;
+      }
+      if (dynamic && next() % 2 == 0) {
+        r.flags |= kFlagDynamicAlloc;
+        r.tid = static_cast<Tid>(next() % 3);
       }
     }
     records.push_back(r);
@@ -180,10 +188,12 @@ void ExpectSameSections(const std::vector<std::pair<std::string, std::string>>& 
 }
 
 TEST(PipelineTest, ParallelMatchesSerialForAnyChunkingAndWorkerCount) {
-  for (const uint64_t seed : {uint64_t{1}, uint64_t{2008}}) {
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{2008}, uint64_t{7}}) {
+    // The third trace arms dynamic-alloc timers.
+    const bool dynamic = seed == 7;
     CallsiteRegistry callsites;
     const auto sites = MakeSites(&callsites);
-    const auto records = GenerateTrace(seed, 6000, sites);
+    const auto records = GenerateTrace(seed, 6000, sites, dynamic);
     const auto expected = SerialReference(records, callsites);
 
     const struct {
