@@ -1,6 +1,7 @@
 #include "src/analysis/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -180,13 +181,19 @@ PipelineStats MergeAndPublish(std::vector<WorkerState>& workers,
   return stats;
 }
 
-}  // namespace
-
-bool PipelineRunner::Run(const TraceChunkReader& reader,
-                         const std::vector<std::unique_ptr<AnalysisPass>>& passes,
-                         TraceReadError* error) {
-  const size_t chunk_count = reader.chunk_count();
-  const size_t jobs = EffectiveJobs(options_.jobs, chunk_count);
+// The worker fan-out behind both Run overloads. Splits `chunk_count`
+// chunks into contiguous ranges, one per worker with private forks of
+// every pass, and feeds the forks each chunk `drain(i, &worker)` yields:
+// its records, or nullopt for a chunk skipped or failed (a failure sets
+// `failed`, which ends the worker's range). Each worker runs its own copy
+// of `drain`, so a drain may hold per-worker state such as a cursor.
+// Returns false, with the first failure in `*error` when given, or merges
+// the workers in trace order into `*stats`.
+template <typename Drain>
+bool FanOut(const PipelineOptions& options, size_t chunk_count,
+            const std::vector<std::unique_ptr<AnalysisPass>>& passes, const Drain& drain,
+            bool columnar, PipelineStats* stats, TraceReadError* error) {
+  const size_t jobs = EffectiveJobs(options.jobs, chunk_count);
   const auto ranges = PartitionChunks(chunk_count, jobs);
 
   std::vector<WorkerState> workers(jobs);
@@ -196,50 +203,29 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
 
   const uint64_t started = obs::ProbeClockNow();
 
-  // Empty when any pass needs the full trace; otherwise one predicate per
-  // pass, consulted against each chunk's zone map before decoding.
-  const std::vector<const Predicate*> predicates =
-      passes.empty() ? std::vector<const Predicate*>{} : PushdownPredicates(passes);
-  // Projection pushdown: on v3 traces the cursor decodes only the stripes
-  // some pass declared it reads (v1/v2 cursors ignore the mask).
-  const uint16_t field_mask = UnionFields(passes);
-
-  auto drain = [&reader, &predicates, field_mask](const std::pair<size_t, size_t>& range,
-                                                  WorkerState* state) {
-    TraceChunkReader::Cursor cursor = reader.MakeCursor();
-    if (!cursor.ok()) {
-      state->failed = true;
-      state->error = cursor.error();
-      return;
-    }
-    for (size_t i = range.first; i < range.second; ++i) {
-      const TraceChunkRef& ref = reader.chunk(i);
-      if (SkipChunk(predicates, ref.zone)) {
-        ++state->chunks_skipped;
+  auto work = [&ranges, &workers, &drain](size_t w) {
+    Drain own = drain;
+    WorkerState& state = workers[w];
+    for (size_t i = ranges[w].first; i < ranges[w].second && !state.failed; ++i) {
+      const std::optional<std::span<const TraceRecord>> chunk = own(i, &state);
+      if (!chunk.has_value()) {
         continue;
       }
-      const std::span<const TraceRecord> chunk = cursor.Read(i, field_mask);
-      if (!cursor.ok()) {
-        state->failed = true;
-        state->error = cursor.error();
-        return;
-      }
-      ++state->chunks;
-      state->records += chunk.size();
-      state->encoded_bytes += ref.stored_bytes;
-      for (auto& pass : state->passes) {
-        pass->Accumulate(chunk);
+      ++state.chunks;
+      state.records += chunk->size();
+      for (auto& pass : state.passes) {
+        pass->Accumulate(*chunk);
       }
     }
   };
 
   if (jobs == 1) {
-    drain(ranges[0], &workers[0]);
+    work(0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(jobs);
     for (size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back(drain, ranges[w], &workers[w]);
+      threads.emplace_back(work, w);
     }
     for (std::thread& t : threads) {
       t.join();
@@ -254,10 +240,43 @@ bool PipelineRunner::Run(const TraceChunkReader& reader,
       return false;
     }
   }
-
-  stats_ = MergeAndPublish(workers, passes, started, options_.stats_label,
-                           reader.version() == kTraceFileVersionColumnar);
+  *stats = MergeAndPublish(workers, passes, started, options.stats_label, columnar);
   return true;
+}
+
+}  // namespace
+
+bool PipelineRunner::Run(const TraceChunkReader& reader,
+                         const std::vector<std::unique_ptr<AnalysisPass>>& passes,
+                         TraceReadError* error) {
+  // Empty when any pass needs the full trace; otherwise one predicate per
+  // pass, consulted against each chunk's zone map before decoding.
+  const std::vector<const Predicate*> predicates =
+      passes.empty() ? std::vector<const Predicate*>{} : PushdownPredicates(passes);
+  // Projection pushdown: on v3 traces the cursor decodes only the stripes
+  // some pass declared it reads (v1/v2 cursors ignore the mask).
+  const uint16_t field_mask = UnionFields(passes);
+
+  auto drain = [&reader, &predicates, field_mask, cursor = reader.MakeCursor()](
+                   size_t i, WorkerState* state) mutable
+      -> std::optional<std::span<const TraceRecord>> {
+    const TraceChunkRef& ref = reader.chunk(i);
+    if (SkipChunk(predicates, ref.zone)) {
+      ++state->chunks_skipped;
+      return std::nullopt;
+    }
+    const std::span<const TraceRecord> chunk = cursor.Read(i, field_mask);
+    if (!cursor.ok()) {
+      state->failed = true;
+      state->error = cursor.error();
+      return std::nullopt;
+    }
+    state->encoded_bytes += ref.stored_bytes;
+    return chunk;
+  };
+
+  return FanOut(options_, reader.chunk_count(), passes, drain,
+                reader.version() == kTraceFileVersionColumnar, &stats_, error);
 }
 
 void PipelineRunner::Run(std::span<const TraceRecord> records,
@@ -267,46 +286,16 @@ void PipelineRunner::Run(std::span<const TraceRecord> records,
     chunk_records = kDefaultChunkRecords;
   }
   const size_t chunk_count = (records.size() + chunk_records - 1) / chunk_records;
-  const size_t jobs = EffectiveJobs(options_.jobs, chunk_count);
-  const auto ranges = PartitionChunks(chunk_count, jobs);
 
-  std::vector<WorkerState> workers(jobs);
-  for (WorkerState& w : workers) {
-    w.passes = ForkAll(passes);
-  }
-
-  const uint64_t started = obs::ProbeClockNow();
-
-  auto drain = [records, chunk_records](const std::pair<size_t, size_t>& range,
-                                        WorkerState* state) {
-    for (size_t i = range.first; i < range.second; ++i) {
-      const size_t first = i * static_cast<size_t>(chunk_records);
-      const size_t count = std::min<size_t>(chunk_records, records.size() - first);
-      const std::span<const TraceRecord> chunk = records.subspan(first, count);
-      ++state->chunks;
-      state->records += chunk.size();
-      state->encoded_bytes += chunk.size() * kEncodedRecordSize;
-      for (auto& pass : state->passes) {
-        pass->Accumulate(chunk);
-      }
-    }
+  auto drain = [records, chunk_records](size_t i, WorkerState* state)
+      -> std::optional<std::span<const TraceRecord>> {
+    const size_t first = i * static_cast<size_t>(chunk_records);
+    const size_t count = std::min<size_t>(chunk_records, records.size() - first);
+    state->encoded_bytes += count * kEncodedRecordSize;
+    return records.subspan(first, count);
   };
 
-  if (jobs == 1) {
-    drain(ranges[0], &workers[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back(drain, ranges[w], &workers[w]);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-
-  stats_ = MergeAndPublish(workers, passes, started, options_.stats_label,
-                           /*columnar=*/false);
+  FanOut(options_, chunk_count, passes, drain, /*columnar=*/false, &stats_, nullptr);
 }
 
 }  // namespace tempo

@@ -9,7 +9,8 @@
 // Two inputs are supported: a TraceChunkReader (the streaming file path;
 // each worker gets its own cursor and the trace is never materialized)
 // and an in-memory record span (for traces already in memory, e.g. fresh
-// workload runs), which is partitioned into synthetic chunks.
+// workload runs), which is partitioned into synthetic chunks. Both run
+// the same worker fan-out; only how a worker reads one chunk differs.
 //
 // Predicate pushdown: when EVERY pass declares a Predicate (pass.h) and
 // the trace is v3, a chunk whose zone map no pass may match is skipped
