@@ -102,8 +102,9 @@ double Accuracy(SimDuration trace_jitter, SimDuration variance, uint64_t seed) {
   size_t correct = 0;
   size_t total = 0;
   for (const Labeled& l : truth) {
-    const auto classes = ClassifyTrace(l.records, options);
-    for (const auto& c : classes) {
+    ClassifyPass pass(options);
+    pass.Accumulate(l.records);
+    for (const auto& c : pass.Result()) {
       ++total;
       correct += c.pattern == l.truth ? 1 : 0;
     }

@@ -23,7 +23,9 @@ int main() {
   RateOptions rate_options;
   rate_options.start = 30 * kSecond;
   rate_options.end = 120 * kSecond;  // the 90 s excerpt
-  const auto series = ComputeRates(run.records, grouping, rate_options);
+  RatesPass pass(grouping, rate_options);
+  pass.Accumulate(run.records);
+  const auto series = pass.Result();
 
   std::printf("%s\n", RenderRates(series, rate_options.window).c_str());
   std::printf("per-second series (gnuplot columns):\n%s",

@@ -16,8 +16,9 @@ int main() {
   const WorkloadOptions options = BenchOptions();
   std::vector<std::pair<std::string, std::map<UsagePattern, double>>> workloads;
   for (TraceRun& run : RunAllLinuxWorkloads(options)) {
-    const auto classes = ClassifyTrace(run.records, ClassifyOptions{});
-    workloads.emplace_back(run.label, PatternHistogram(classes));
+    ClassifyPass pass;
+    pass.Accumulate(run.records);
+    workloads.emplace_back(run.label, PatternHistogram(pass.Result()));
   }
   std::printf("%s", RenderPatternHistogram(workloads).c_str());
   std::printf(

@@ -15,8 +15,9 @@ int main() {
 
   const WorkloadOptions options = BenchOptions();
   for (TraceRun& run : RunAllLinuxWorkloads(options)) {
-    HistogramOptions histogram_options;  // 2% threshold, jiffy quantisation
-    const ValueHistogram h = ComputeValueHistogram(run.records, histogram_options);
+    HistogramPass pass;  // 2% threshold, jiffy quantisation
+    pass.Accumulate(run.records);
+    const ValueHistogram h = pass.Result();
     std::printf("--- %s ---\n%s\n", run.label.c_str(),
                 RenderValueHistogram(h, /*show_jiffies=*/true).c_str());
   }

@@ -28,7 +28,9 @@ int main() {
       histogram_options.exclude_pids.insert(wm->second);
     }
     histogram_options.exclude_countdowns = true;
-    const ValueHistogram h = ComputeValueHistogram(run.records, histogram_options);
+    HistogramPass pass(histogram_options);
+    pass.Accumulate(run.records);
+    const ValueHistogram h = pass.Result();
     std::printf("--- %s ---\n%s\n", run.label.c_str(),
                 RenderValueHistogram(h, /*show_jiffies=*/true).c_str());
   }

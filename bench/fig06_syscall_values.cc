@@ -25,7 +25,9 @@ int main() {
     if (wm != run.pids.end()) {
       histogram_options.exclude_pids.insert(wm->second);
     }
-    const ValueHistogram h = ComputeValueHistogram(run.records, histogram_options);
+    HistogramPass pass(histogram_options);
+    pass.Accumulate(run.records);
+    const ValueHistogram h = pass.Result();
     std::printf("--- %s ---\n%s\n", run.label.c_str(),
                 RenderValueHistogram(h, /*show_jiffies=*/false).c_str());
   }

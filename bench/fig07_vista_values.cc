@@ -18,7 +18,9 @@ int main() {
   for (TraceRun& run : RunAllVistaWorkloads(options)) {
     HistogramOptions histogram_options;
     histogram_options.jiffy_quantise_kernel = false;  // no jiffies on Vista
-    const ValueHistogram h = ComputeValueHistogram(run.records, histogram_options);
+    HistogramPass pass(histogram_options);
+    pass.Accumulate(run.records);
+    const ValueHistogram h = pass.Result();
     std::printf("--- %s ---\n%s\n", run.label.c_str(),
                 RenderValueHistogram(h, /*show_jiffies=*/false).c_str());
   }

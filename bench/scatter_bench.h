@@ -36,7 +36,9 @@ inline int RunScatterBench(const std::string& figure, const std::string& workloa
     if (wm != pane.run.pids.end()) {
       scatter_options.exclude_pids.insert(wm->second);
     }
-    const auto points = ComputeScatter(pane.run.records, scatter_options);
+    ScatterPass pass(scatter_options);
+    pass.Accumulate(pane.run.records);
+    const auto points = pass.Result();
     std::printf("--- %s (%s) ---\n%s\n", pane.name, workload.c_str(),
                 RenderScatter(points).c_str());
     std::printf("columns:\n%s\n", ScatterColumns(points).c_str());

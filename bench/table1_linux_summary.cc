@@ -16,7 +16,9 @@ int main() {
   const WorkloadOptions options = BenchOptions();
   std::vector<TraceSummary> summaries;
   for (TraceRun& run : RunAllLinuxWorkloads(options)) {
-    summaries.push_back(Summarize(run.records, run.label));
+    SummaryPass pass(run.label);
+    pass.Accumulate(run.records);
+    summaries.push_back(pass.Result());
   }
   std::printf("%s", RenderSummaryTable(summaries).c_str());
 

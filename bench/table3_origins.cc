@@ -22,8 +22,9 @@ int main() {
                                                 : RunLinuxWebserver(options);
     OriginOptions origin_options;
     origin_options.min_percent = 0.2;
-    const auto rows = ComputeOrigins(run.records, run.callsites(), origin_options);
-    std::printf("--- %s ---\n%s\n", which, RenderOrigins(rows).c_str());
+    OriginsPass pass(&run.callsites(), origin_options);
+    pass.Accumulate(run.records);
+    std::printf("--- %s ---\n%s\n", which, RenderOrigins(pass.Result()).c_str());
   }
   return 0;
 }

@@ -33,24 +33,27 @@ int main() {
   }
   std::printf("\n");
 
-  // 2. Summary statistics (the Table 1 row for this workload).
-  const TraceSummary summary = Summarize(run.records, run.label);
-  std::printf("%s\n", RenderSummaryTable({summary}).c_str());
+  // 2. Summary statistics (the Table 1 row for this workload). Every
+  // analysis is a pass: feed it the records, then read its result.
+  SummaryPass summary(run.label);
+  summary.Accumulate(run.records);
+  std::printf("%s\n", RenderSummaryTable({summary.Result()}).c_str());
 
   // 3. Usage-pattern classification (Figure 2).
-  const auto classes = ClassifyTrace(run.records, ClassifyOptions{});
+  ClassifyPass classify;
+  classify.Accumulate(run.records);
   std::printf("usage patterns:\n%s\n",
-              RenderPatternHistogram({{run.label, PatternHistogram(classes)}}).c_str());
+              RenderPatternHistogram({{run.label, PatternHistogram(classify.Result())}}).c_str());
 
   // 4. Common timeout values (Figure 3).
-  HistogramOptions histogram_options;
-  const ValueHistogram histogram = ComputeValueHistogram(run.records, histogram_options);
+  HistogramPass histogram;
+  histogram.Accumulate(run.records);
   std::printf("common timeout values:\n%s\n",
-              RenderValueHistogram(histogram, /*show_jiffies=*/true).c_str());
+              RenderValueHistogram(histogram.Result(), /*show_jiffies=*/true).c_str());
 
   // 5. Who sets which value (Table 3).
-  OriginOptions origin_options;
-  const auto origins = ComputeOrigins(run.records, run.callsites(), origin_options);
-  std::printf("origins of frequent values:\n%s", RenderOrigins(origins).c_str());
+  OriginsPass origins(&run.callsites());
+  origins.Accumulate(run.records);
+  std::printf("origins of frequent values:\n%s", RenderOrigins(origins.Result()).c_str());
   return 0;
 }

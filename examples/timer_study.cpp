@@ -26,9 +26,12 @@ void AnalyseOs(const char* os_name, std::vector<TraceRun> runs, bool jiffies) {
   std::vector<TraceSummary> summaries;
   std::vector<std::pair<std::string, std::map<UsagePattern, double>>> patterns;
   for (TraceRun& run : runs) {
-    summaries.push_back(Summarize(run.records, run.label));
-    patterns.emplace_back(run.label,
-                          PatternHistogram(ClassifyTrace(run.records, ClassifyOptions{})));
+    SummaryPass summary(run.label);
+    ClassifyPass classify;
+    summary.Accumulate(run.records);
+    classify.Accumulate(run.records);
+    summaries.push_back(summary.Result());
+    patterns.emplace_back(run.label, PatternHistogram(classify.Result()));
   }
   std::printf("trace summary:\n%s\n", RenderSummaryTable(summaries).c_str());
   std::printf("usage patterns (%% of regularly used timers):\n%s\n",
@@ -45,16 +48,18 @@ void AnalyseOs(const char* os_name, std::vector<TraceRun> runs, bool jiffies) {
     if (wm != run.pids.end()) {
       histogram_options.exclude_pids.insert(wm->second);
     }
-    const ValueHistogram h = ComputeValueHistogram(run.records, histogram_options);
+    HistogramPass histogram(histogram_options);
+    histogram.Accumulate(run.records);
+    const ValueHistogram h = histogram.Result();
     std::printf("common values, %s (select countdowns filtered):\n%s\n", run.label.c_str(),
                 RenderValueHistogram(h, jiffies).c_str());
   }
 
   // One scatter per OS is plenty for the report: the busiest workload.
-  ScatterOptions scatter_options;
-  const auto points = ComputeScatter(runs[2].records, scatter_options);
+  ScatterPass scatter;
+  scatter.Accumulate(runs[2].records);
   std::printf("expiry/cancel scatter, %s:\n%s\n", runs[2].label.c_str(),
-              RenderScatter(points).c_str());
+              RenderScatter(scatter.Result()).c_str());
 }
 
 }  // namespace
@@ -78,8 +83,9 @@ int main(int argc, char** argv) {
   TraceRun idle = RunLinuxIdle(options);
   OriginOptions origin_options;
   origin_options.min_percent = 0.2;
+  OriginsPass origins(&idle.callsites(), origin_options);
+  origins.Accumulate(idle.records);
   std::printf("origins of frequent Linux values (Idle):\n%s\n",
-              RenderOrigins(ComputeOrigins(idle.records, idle.callsites(),
-                                           origin_options)).c_str());
+              RenderOrigins(origins.Result()).c_str());
   return 0;
 }

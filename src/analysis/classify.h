@@ -101,12 +101,6 @@ class ClassifyPass : public AnalysisPass {
   EpisodeBuilder episodes_;
 };
 
-// Classifies a whole trace.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// ClassifyPass — prefer the pass for anything that may grow large.
-std::vector<TimerClass> ClassifyTrace(const std::vector<TraceRecord>& records,
-                                      const ClassifyOptions& options);
-
 // Histogram for Figure 2: fraction of timers per pattern (single-use timers
 // are excluded, as the paper's percentages cover regularly used timers).
 std::map<UsagePattern, double> PatternHistogram(const std::vector<TimerClass>& classes);

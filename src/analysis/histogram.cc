@@ -132,11 +132,4 @@ void HistogramPass::Render(RenderSink& sink) {
                "common values:\n" + RenderValueHistogram(Result(), show_jiffies_) + "\n");
 }
 
-ValueHistogram ComputeValueHistogram(const std::vector<TraceRecord>& records,
-                                     const HistogramOptions& options) {
-  HistogramPass pass(options);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 }  // namespace tempo

@@ -98,12 +98,6 @@ class HistogramPass : public AnalysisPass {
   EpisodeBuilder episodes_;
 };
 
-// Computes the histogram of set values in a trace.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// HistogramPass — prefer the pass for anything that may grow large.
-ValueHistogram ComputeValueHistogram(const std::vector<TraceRecord>& records,
-                                     const HistogramOptions& options);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_HISTOGRAM_H_

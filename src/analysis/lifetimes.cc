@@ -210,10 +210,4 @@ std::vector<Episode> EpisodeBuilder::Finish() && {
   return out;
 }
 
-std::vector<Episode> BuildEpisodes(const std::vector<TraceRecord>& records) {
-  EpisodeBuilder builder;
-  builder.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return std::move(builder).Finish();
-}
-
 }  // namespace tempo

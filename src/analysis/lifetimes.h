@@ -319,13 +319,6 @@ class EpisodeBuilder {
   bool any_records_ = false;
 };
 
-// Rebuilds episodes from a trace. Records must be time-ordered (trace
-// buffers guarantee this). Block/unblock pairs become episodes whose end is
-// kExpired when the wait timed out and kCanceled when it was satisfied.
-// Thin wrapper over EpisodeBuilder; stream consumers should use the
-// builder (or an AnalysisPass) directly.
-std::vector<Episode> BuildEpisodes(const std::vector<TraceRecord>& records);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_LIFETIMES_H_

@@ -110,12 +110,4 @@ void OriginsPass::Render(RenderSink& sink) {
   sink.Section("origins", "origins:\n" + RenderOrigins(Result()) + "\n");
 }
 
-std::vector<OriginRow> ComputeOrigins(const std::vector<TraceRecord>& records,
-                                      const CallsiteRegistry& callsites,
-                                      const OriginOptions& options) {
-  OriginsPass pass(&callsites, options);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 }  // namespace tempo

@@ -64,13 +64,6 @@ class OriginsPass : public AnalysisPass {
   EpisodeBuilder episodes_;
 };
 
-// Builds the table from a trace. Rows are sorted by value, then origin.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// OriginsPass — prefer the pass for anything that may grow large.
-std::vector<OriginRow> ComputeOrigins(const std::vector<TraceRecord>& records,
-                                      const CallsiteRegistry& callsites,
-                                      const OriginOptions& options);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_ORIGINS_H_

@@ -1,10 +1,8 @@
 // The AnalysisPass API: streaming, mergeable trace analyses.
 //
-// The original analysis entry points (Summarize, ClassifyTrace, ...) each
-// consumed a fully materialized std::vector<TraceRecord> in one call —
-// fine for the paper's 30-minute traces, memory-bound and single-threaded
-// at production scale. An AnalysisPass instead consumes the trace as a
-// stream of record batches and carries explicit partial state:
+// Each table and figure of the paper is one pass: a state machine that
+// consumes the trace as a stream of record batches and carries explicit
+// partial state:
 //
 //   Fork()        an empty pass with the same configuration, for a worker
 //   Accumulate()  folds one batch of time-ordered records into the state
@@ -15,9 +13,16 @@
 //   Render()      emits the finished report into a RenderSink
 //
 // The ordered-merge contract is what makes parallel analysis exact: every
-// pass here reproduces, byte for byte, what the serial whole-vector code
-// produces, for any chunking and any worker count. The legacy entry
-// points are now thin wrappers over these passes.
+// pass reproduces, byte for byte, what one Accumulate over the whole trace
+// produces, for any chunking and any worker count. A caller that already
+// holds the records feeds them as one batch and reads the pass's result:
+//
+//   SummaryPass pass(run.label);
+//   pass.Accumulate(run.records);
+//   const TraceSummary summary = pass.Result();
+//
+// PipelineRunner (pipeline.h) runs passes over a file's chunks, or over
+// records in memory, on N workers.
 
 #ifndef TEMPO_SRC_ANALYSIS_PASS_H_
 #define TEMPO_SRC_ANALYSIS_PASS_H_
@@ -37,7 +42,7 @@ namespace tempo {
 
 // Receives rendered report sections. Keys are stable machine-readable
 // names ("summary", "patterns", ...); text is the exact human-readable
-// section body the legacy tools printed.
+// section body the text report prints.
 class RenderSink {
  public:
   virtual ~RenderSink() = default;
@@ -113,7 +118,7 @@ class JsonRenderSink : public RenderSink {
 };
 
 // One streaming analysis. See the file comment for the contract; concrete
-// passes live with their legacy modules (SummaryPass in summary.h, ...).
+// passes live with their modules (SummaryPass in summary.h, ...).
 class AnalysisPass {
  public:
   virtual ~AnalysisPass() = default;

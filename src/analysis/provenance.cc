@@ -113,13 +113,6 @@ void ProvenancePass::Render(RenderSink& sink) {
   sink.Section("provenance", "provenance:\n" + RenderProvenance(Result()) + "\n");
 }
 
-std::vector<ProvenanceNode> BuildProvenanceForest(const std::vector<TraceRecord>& records,
-                                                  const CallsiteRegistry& callsites) {
-  ProvenancePass pass(&callsites);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 void BlamePass::Accumulate(std::span<const TraceRecord> records) {
   episodes_.Accumulate(records);
 }
@@ -167,14 +160,6 @@ std::unique_ptr<AnalysisPass> BlamePass::Fork() const {
 
 void BlamePass::Render(RenderSink& sink) {
   sink.Section("blame", RenderBlame(Result(), start_, end_));
-}
-
-std::vector<BlameEntry> BlameWindow(const std::vector<TraceRecord>& records,
-                                    const CallsiteRegistry& callsites, SimTime start,
-                                    SimTime end) {
-  BlamePass pass(&callsites, start, end);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
 }
 
 std::string RenderProvenance(const std::vector<ProvenanceNode>& forest) {

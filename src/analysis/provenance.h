@@ -54,20 +54,14 @@ class ProvenancePass : public AnalysisPass {
   void Merge(AnalysisPass&& other) override;
   void Render(RenderSink& sink) override;
 
-  // The finished forest; call after all merges.
+  // The finished forest, one tree per provenance root, roots sorted by
+  // subtree_ops, descending; call after all merges.
   std::vector<ProvenanceNode> Result() const;
 
  private:
   const CallsiteRegistry* callsites_;
   std::map<CallsiteId, std::pair<uint64_t, uint64_t>> direct_;  // ops, sets
 };
-
-// Builds the attribution forest (one tree per provenance root) for a trace.
-// Roots are sorted by subtree_ops, descending.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// ProvenancePass — prefer the pass for anything that may grow large.
-std::vector<ProvenanceNode> BuildProvenanceForest(const std::vector<TraceRecord>& records,
-                                                  const CallsiteRegistry& callsites);
 
 // One blame entry: a call-site's contribution to waiting inside a window.
 struct BlameEntry {
@@ -92,7 +86,9 @@ class BlamePass : public AnalysisPass {
   void Merge(AnalysisPass&& other) override;
   void Render(RenderSink& sink) override;
 
-  // The finished report; call after all merges.
+  // The finished report for [start, end): which call-sites had timers
+  // pending, for how long, sorted by held time, descending. Answers "what
+  // was the system waiting on" for a stall. Call after all merges.
   std::vector<BlameEntry> Result() const;
 
  private:
@@ -101,15 +97,6 @@ class BlamePass : public AnalysisPass {
   SimTime end_;
   EpisodeBuilder episodes_;
 };
-
-// For [start, end): which call-sites had timers pending, for how long.
-// Sorted by held time, descending. Answers "what was the system waiting
-// on" for a stall the user experienced.
-// Legacy whole-vector entry point, kept as a thin wrapper over BlamePass
-// — prefer the pass for anything that may grow large.
-std::vector<BlameEntry> BlameWindow(const std::vector<TraceRecord>& records,
-                                    const CallsiteRegistry& callsites, SimTime start,
-                                    SimTime end);
 
 // Renders the forest with indentation and counts.
 std::string RenderProvenance(const std::vector<ProvenanceNode>& forest);

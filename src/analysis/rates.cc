@@ -133,11 +133,4 @@ void RatesPass::Render(RenderSink& sink) {
   sink.Section("rates", "rates:\n" + RenderRates(Result(), options_.window) + "\n");
 }
 
-std::vector<RateSeries> ComputeRates(const std::vector<TraceRecord>& records,
-                                     const RateGrouping& grouping, const RateOptions& options) {
-  RatesPass pass(grouping, options);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 }  // namespace tempo

@@ -70,12 +70,6 @@ class RatesPass : public AnalysisPass {
   bool any_records_ = false;
 };
 
-// Computes one series per label. Series are ordered by label.
-// Legacy whole-vector entry point, kept as a thin wrapper over RatesPass
-// — prefer the pass for anything that may grow large.
-std::vector<RateSeries> ComputeRates(const std::vector<TraceRecord>& records,
-                                     const RateGrouping& grouping, const RateOptions& options);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_RATES_H_

@@ -107,11 +107,4 @@ void ScatterPass::Render(RenderSink& sink) {
   sink.Section("scatter", "scatter:\n" + RenderScatter(Result()) + "\n");
 }
 
-std::vector<ScatterPoint> ComputeScatter(const std::vector<TraceRecord>& records,
-                                         const ScatterOptions& options) {
-  ScatterPass pass(options);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 }  // namespace tempo

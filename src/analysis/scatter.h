@@ -55,12 +55,6 @@ class ScatterPass : public AnalysisPass {
   EpisodeBuilder episodes_;
 };
 
-// Scatter points of a trace: episodes from records, then buckets.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// ScatterPass — prefer the pass for anything that may grow large.
-std::vector<ScatterPoint> ComputeScatter(const std::vector<TraceRecord>& records,
-                                         const ScatterOptions& options);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_SCATTER_H_

@@ -120,10 +120,4 @@ void SummaryPass::Render(RenderSink& sink) {
   sink.Section("summary", RenderSummaryTable({Result()}) + "\n");
 }
 
-TraceSummary Summarize(const std::vector<TraceRecord>& records, const std::string& label) {
-  SummaryPass pass(label);
-  pass.Accumulate(std::span<const TraceRecord>(records.data(), records.size()));
-  return pass.Result();
-}
-
 }  // namespace tempo

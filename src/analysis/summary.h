@@ -71,12 +71,6 @@ class SummaryPass : public AnalysisPass {
   std::vector<uint64_t> segment_max_ = {0};
 };
 
-// Computes the summary of a time-ordered trace.
-// Legacy whole-vector entry point, kept as a thin wrapper over
-// SummaryPass — prefer the pass (with analysis/pipeline.h) for anything
-// that may grow large.
-TraceSummary Summarize(const std::vector<TraceRecord>& records, const std::string& label);
-
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_ANALYSIS_SUMMARY_H_

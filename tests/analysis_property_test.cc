@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/classify.h"
 #include "src/analysis/histogram.h"
@@ -88,7 +90,9 @@ class AnalysisPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AnalysisPropertyTest, EpisodesConserveArmingRecords) {
   const RandomTrace trace = Generate(GetParam(), 3000);
-  const auto episodes = BuildEpisodes(trace.records);
+  EpisodeBuilder builder;
+  builder.Accumulate(trace.records);
+  const auto episodes = std::move(builder).Finish();
   // Every arming record opens exactly one episode.
   EXPECT_EQ(episodes.size(), trace.arming_records);
   // End states partition the episodes.
@@ -105,7 +109,9 @@ TEST_P(AnalysisPropertyTest, EpisodesConserveArmingRecords) {
 
 TEST_P(AnalysisPropertyTest, EpisodesNeverEndBeforeTheyStart) {
   const RandomTrace trace = Generate(GetParam(), 3000);
-  for (const Episode& e : BuildEpisodes(trace.records)) {
+  EpisodeBuilder builder;
+  builder.Accumulate(trace.records);
+  for (const Episode& e : std::move(builder).Finish()) {
     EXPECT_GE(e.end_time, e.set_time);
     if (e.end == EpisodeEnd::kExpired) {
       // Expiry never happens before the requested timeout in our generator.
@@ -116,7 +122,9 @@ TEST_P(AnalysisPropertyTest, EpisodesNeverEndBeforeTheyStart) {
 
 TEST_P(AnalysisPropertyTest, SummaryMatchesManualCounts) {
   const RandomTrace trace = Generate(GetParam(), 3000);
-  const TraceSummary s = Summarize(trace.records, "prop");
+  SummaryPass pass("prop");
+  pass.Accumulate(trace.records);
+  const TraceSummary s = pass.Result();
   EXPECT_EQ(s.accesses, trace.records.size());
   EXPECT_EQ(s.set, trace.arming_records);
   size_t cancels = 0;
@@ -133,7 +141,9 @@ TEST_P(AnalysisPropertyTest, SummaryMatchesManualCounts) {
 
 TEST_P(AnalysisPropertyTest, GroupsPartitionEpisodes) {
   const RandomTrace trace = Generate(GetParam(), 3000);
-  const auto episodes = BuildEpisodes(trace.records);
+  EpisodeBuilder builder;
+  builder.Accumulate(trace.records);
+  const auto episodes = std::move(builder).Finish();
   size_t grouped = 0;
   for (const auto& group : Groups(trace.records)) {
     EXPECT_FALSE(group.empty());
@@ -148,7 +158,9 @@ TEST_P(AnalysisPropertyTest, GroupsPartitionEpisodes) {
 TEST_P(AnalysisPropertyTest, ClassifierCoversEveryGroup) {
   const RandomTrace trace = Generate(GetParam(), 3000);
   const auto groups = Groups(trace.records);
-  const auto classes = ClassifyTrace(trace.records, ClassifyOptions{});
+  ClassifyPass pass;
+  pass.Accumulate(trace.records);
+  const auto classes = pass.Result();
   EXPECT_EQ(classes.size(), groups.size());
   size_t classified_episodes = 0;
   for (const auto& c : classes) {
@@ -165,7 +177,9 @@ TEST_P(AnalysisPropertyTest, HistogramCountsAndCoverageConsistent) {
   const RandomTrace trace = Generate(GetParam(), 3000);
   HistogramOptions options;
   options.min_percent = 0.0;  // keep everything
-  const ValueHistogram h = ComputeValueHistogram(trace.records, options);
+  HistogramPass pass(options);
+  pass.Accumulate(trace.records);
+  const ValueHistogram h = pass.Result();
   EXPECT_EQ(h.total_sets, trace.arming_records);
   uint64_t bucketed = 0;
   double percent_sum = 0;
@@ -184,8 +198,12 @@ TEST_P(AnalysisPropertyTest, HistogramThresholdOnlyDropsBuckets) {
   all.min_percent = 0.0;
   HistogramOptions thresholded;
   thresholded.min_percent = 5.0;
-  const ValueHistogram full = ComputeValueHistogram(trace.records, all);
-  const ValueHistogram cut = ComputeValueHistogram(trace.records, thresholded);
+  HistogramPass full_pass(all);
+  HistogramPass cut_pass(thresholded);
+  full_pass.Accumulate(trace.records);
+  cut_pass.Accumulate(trace.records);
+  const ValueHistogram full = full_pass.Result();
+  const ValueHistogram cut = cut_pass.Result();
   EXPECT_LE(cut.buckets.size(), full.buckets.size());
   EXPECT_LE(cut.coverage_percent, full.coverage_percent + 1e-9);
   for (const auto& bucket : cut.buckets) {
@@ -196,7 +214,9 @@ TEST_P(AnalysisPropertyTest, HistogramThresholdOnlyDropsBuckets) {
 TEST_P(AnalysisPropertyTest, ScatterCountsBoundedByEndedEpisodes) {
   const RandomTrace trace = Generate(GetParam(), 3000);
   ScatterOptions options;
-  const auto points = ComputeScatter(trace.records, options);
+  ScatterPass pass(options);
+  pass.Accumulate(trace.records);
+  const auto points = pass.Result();
   uint64_t plotted = 0;
   for (const auto& p : points) {
     plotted += p.count;
@@ -204,7 +224,9 @@ TEST_P(AnalysisPropertyTest, ScatterCountsBoundedByEndedEpisodes) {
     EXPECT_LE(p.percent, options.max_percent + options.percent_bucket);
   }
   size_t ended_with_timeout = 0;
-  for (const Episode& e : BuildEpisodes(trace.records)) {
+  EpisodeBuilder builder;
+  builder.Accumulate(trace.records);
+  for (const Episode& e : std::move(builder).Finish()) {
     if (e.timeout > 0 &&
         (e.end == EpisodeEnd::kExpired || e.end == EpisodeEnd::kCanceled)) {
       ++ended_with_timeout;
@@ -215,8 +237,10 @@ TEST_P(AnalysisPropertyTest, ScatterCountsBoundedByEndedEpisodes) {
 
 TEST_P(AnalysisPropertyTest, ProvenanceConservesOps) {
   const RandomTrace trace = Generate(GetParam(), 3000);
+  ProvenancePass pass(&trace.callsites);
+  pass.Accumulate(trace.records);
   uint64_t total = 0;
-  for (const auto& root : BuildProvenanceForest(trace.records, trace.callsites)) {
+  for (const auto& root : pass.Result()) {
     total += root.subtree_ops;
   }
   EXPECT_EQ(total, trace.records.size());
@@ -226,15 +250,23 @@ TEST_P(AnalysisPropertyTest, SerializationPreservesEveryAnalysis) {
   const RandomTrace trace = Generate(GetParam(), 1500);
   const auto loaded = DeserializeTrace(SerializeTrace(trace.records, trace.callsites));
   ASSERT_TRUE(loaded.has_value());
-  const TraceSummary before = Summarize(trace.records, "x");
-  const TraceSummary after = Summarize(loaded->records, "x");
+  SummaryPass summary_before("x");
+  SummaryPass summary_after("x");
+  summary_before.Accumulate(trace.records);
+  summary_after.Accumulate(loaded->records);
+  const TraceSummary before = summary_before.Result();
+  const TraceSummary after = summary_after.Result();
   EXPECT_EQ(before.accesses, after.accesses);
   EXPECT_EQ(before.set, after.set);
   EXPECT_EQ(before.expired, after.expired);
   EXPECT_EQ(before.canceled, after.canceled);
   EXPECT_EQ(before.concurrency, after.concurrency);
-  const auto classes_before = ClassifyTrace(trace.records, ClassifyOptions{});
-  const auto classes_after = ClassifyTrace(loaded->records, ClassifyOptions{});
+  ClassifyPass classify_before;
+  ClassifyPass classify_after;
+  classify_before.Accumulate(trace.records);
+  classify_after.Accumulate(loaded->records);
+  const auto classes_before = classify_before.Result();
+  const auto classes_after = classify_after.Result();
   ASSERT_EQ(classes_before.size(), classes_after.size());
   for (size_t i = 0; i < classes_before.size(); ++i) {
     EXPECT_EQ(static_cast<int>(classes_before[i].pattern),

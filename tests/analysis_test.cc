@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/classify.h"
 #include "src/analysis/histogram.h"
@@ -70,12 +72,14 @@ class TraceBuilder {
   std::vector<TraceRecord> records_;
 };
 
-// --- BuildEpisodes ---
+// --- EpisodeBuilder ---
 
 TEST(LifetimesTest, SetExpirePairMakesExpiredEpisode) {
   TraceBuilder b;
   b.Set(1, kSecond).Advance(kSecond).Expire(1);
-  const auto episodes = BuildEpisodes(b.records());
+  EpisodeBuilder builder;
+  builder.Accumulate(b.records());
+  const auto episodes = std::move(builder).Finish();
   ASSERT_EQ(episodes.size(), 1u);
   EXPECT_EQ(episodes[0].end, EpisodeEnd::kExpired);
   EXPECT_EQ(episodes[0].held(), kSecond);
@@ -85,7 +89,9 @@ TEST(LifetimesTest, SetExpirePairMakesExpiredEpisode) {
 TEST(LifetimesTest, SetCancelPairMakesCanceledEpisode) {
   TraceBuilder b;
   b.Set(1, kSecond).Advance(300 * kMillisecond).Cancel(1);
-  const auto episodes = BuildEpisodes(b.records());
+  EpisodeBuilder builder;
+  builder.Accumulate(b.records());
+  const auto episodes = std::move(builder).Finish();
   ASSERT_EQ(episodes.size(), 1u);
   EXPECT_EQ(episodes[0].end, EpisodeEnd::kCanceled);
   EXPECT_DOUBLE_EQ(episodes[0].fraction(), 0.3);
@@ -94,7 +100,9 @@ TEST(LifetimesTest, SetCancelPairMakesCanceledEpisode) {
 TEST(LifetimesTest, ReSetWhilePendingMakesResetEpisode) {
   TraceBuilder b;
   b.Set(1, kSecond).Advance(500 * kMillisecond).Set(1, kSecond);
-  const auto episodes = BuildEpisodes(b.records());
+  EpisodeBuilder builder;
+  builder.Accumulate(b.records());
+  const auto episodes = std::move(builder).Finish();
   ASSERT_EQ(episodes.size(), 2u);
   EXPECT_EQ(episodes[0].end, EpisodeEnd::kReset);
   EXPECT_EQ(episodes[1].end, EpisodeEnd::kOpen);
@@ -103,7 +111,9 @@ TEST(LifetimesTest, ReSetWhilePendingMakesResetEpisode) {
 TEST(LifetimesTest, CancelWithoutSetIsIgnored) {
   TraceBuilder b;
   b.Cancel(7).Advance(kSecond).Expire(8);
-  EXPECT_TRUE(BuildEpisodes(b.records()).empty());
+  EpisodeBuilder builder;
+  builder.Accumulate(b.records());
+  EXPECT_TRUE(std::move(builder).Finish().empty());
 }
 
 TEST(LifetimesTest, BlockUnblockBecomesEpisode) {
@@ -117,7 +127,10 @@ TEST(LifetimesTest, BlockUnblockBecomesEpisode) {
   unblock.timer = 5;
   unblock.op = TimerOp::kUnblock;
   unblock.flags = kFlagWaitSatisfied;
-  const auto episodes = BuildEpisodes({block, unblock});
+  const std::vector<TraceRecord> records = {block, unblock};
+  EpisodeBuilder builder;
+  builder.Accumulate(records);
+  const auto episodes = std::move(builder).Finish();
   ASSERT_EQ(episodes.size(), 1u);
   EXPECT_EQ(episodes[0].end, EpisodeEnd::kCanceled);  // satisfied = not a timeout
 }
@@ -138,14 +151,19 @@ TEST(LifetimesTest, DynamicTimersClusterByCallsite) {
 
 // --- classifier ---
 
-ClassifyOptions DefaultOptions() { return ClassifyOptions{}; }
+std::vector<TimerClass> Classify(const std::vector<TraceRecord>& records,
+                                 const ClassifyOptions& options = ClassifyOptions{}) {
+  ClassifyPass pass(options);
+  pass.Accumulate(records);
+  return pass.Result();
+}
 
 TEST(ClassifyTest, PeriodicTicker) {
   TraceBuilder b;
   for (int i = 0; i < 20; ++i) {
     b.Set(1, kSecond).Advance(kSecond).Expire(1);  // re-set right after expiry
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kPeriodic);
   EXPECT_EQ(classes[0].dominant_timeout, kSecond);
@@ -157,7 +175,7 @@ TEST(ClassifyTest, PeriodicToleratesJitterWithinVariance) {
     const SimDuration jitter = (i % 3) * 600 * kMicrosecond;  // < 2 ms
     b.Set(1, kSecond - jitter).Advance(kSecond).Expire(1).Advance(kMillisecond);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kPeriodic);
 }
@@ -167,7 +185,7 @@ TEST(ClassifyTest, WatchdogNeverExpires) {
   for (int i = 0; i < 20; ++i) {
     b.Set(1, 600 * kSecond).Advance(100 * kSecond);  // re-set long before expiry
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kWatchdog);
 }
@@ -177,7 +195,7 @@ TEST(ClassifyTest, DelayExpiresThenRestsBeforeReset) {
   for (int i = 0; i < 20; ++i) {
     b.Set(1, kSecond).Advance(kSecond).Expire(1).Advance(500 * kMillisecond);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kDelay);
 }
@@ -187,7 +205,7 @@ TEST(ClassifyTest, TimeoutMostlyCanceled) {
   for (int i = 0; i < 20; ++i) {
     b.Set(1, 30 * kSecond).Advance(20 * kMillisecond).Cancel(1).Advance(2 * kSecond);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kTimeout);
   EXPECT_EQ(classes[0].dominant_timeout, 30 * kSecond);
@@ -202,7 +220,7 @@ TEST(ClassifyTest, DeferredMixesResetsAndExpiries) {
     }
     b.Set(1, 2 * kSecond).Advance(2 * kSecond).Expire(1).Advance(10 * kSecond);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kDeferred);
 }
@@ -220,7 +238,7 @@ TEST(ClassifyTest, SelectCountdown) {
     }
     b.Set(1, remaining, kFlagUser).Advance(remaining).Expire(1);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kCountdown);
   EXPECT_EQ(classes[0].dominant_timeout, 600 * kSecond);
@@ -234,7 +252,7 @@ TEST(ClassifyTest, IrregularValuesAreOther) {
   for (SimDuration v : values) {
     b.Set(1, v).Advance(v).Expire(1).Advance(10 * kMillisecond);
   }
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kOther);
 }
@@ -242,7 +260,7 @@ TEST(ClassifyTest, IrregularValuesAreOther) {
 TEST(ClassifyTest, FewEpisodesAreSingleUse) {
   TraceBuilder b;
   b.Set(1, kSecond).Advance(kSecond).Expire(1);
-  const auto classes = ClassifyTrace(b.records(), DefaultOptions());
+  const auto classes = Classify(b.records());
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0].pattern, UsagePattern::kSingleUse);
 }
@@ -257,10 +275,10 @@ TEST(ClassifyTest, VarianceKnobControlsToleranceWindow) {
   }
   ClassifyOptions narrow;
   narrow.variance = 2 * kMillisecond;
-  EXPECT_EQ(ClassifyTrace(b.records(), narrow)[0].pattern, UsagePattern::kOther);
+  EXPECT_EQ(Classify(b.records(), narrow)[0].pattern, UsagePattern::kOther);
   ClassifyOptions wide;
   wide.variance = 10 * kMillisecond;
-  EXPECT_EQ(ClassifyTrace(b.records(), wide)[0].pattern, UsagePattern::kPeriodic);
+  EXPECT_EQ(Classify(b.records(), wide)[0].pattern, UsagePattern::kPeriodic);
 }
 
 TEST(ClassifyTest, ExtremeTimesAndTimeoutsDoNotOverflow) {
@@ -282,7 +300,7 @@ TEST(ClassifyTest, ExtremeTimesAndTimeoutsDoNotOverflow) {
     e.canonical = e.timeout;
     group.push_back(e);
   }
-  const TimerClass c = ClassifyGroup(group, DefaultOptions());
+  const TimerClass c = ClassifyGroup(group, ClassifyOptions{});
   EXPECT_EQ(c.episodes, 10u);
   EXPECT_EQ(c.dominant_timeout, kMax);
   // Eight of ten values agree and all eight expired; the re-set after an
@@ -300,7 +318,7 @@ TEST(ClassifyTest, PatternHistogramPercentagesSumTo100) {
     b.Set(2, 30 * kSecond).Advance(10 * kMillisecond).Cancel(2).Advance(kSecond);
   }
   b.Set(3, kSecond);  // single use: excluded
-  const auto histogram = PatternHistogram(ClassifyTrace(b.records(), DefaultOptions()));
+  const auto histogram = PatternHistogram(Classify(b.records()));
   double total = 0;
   for (const auto& [pattern, pct] : histogram) {
     total += pct;
@@ -317,7 +335,9 @@ TEST(SummaryTest, CountsAllFields) {
   b.Set(1, kSecond, kFlagUser, kUnknownCallsite, 5);
   b.Set(2, kSecond);
   b.Advance(kSecond).Expire(1).Cancel(2);
-  const TraceSummary s = Summarize(b.records(), "test");
+  SummaryPass pass("test");
+  pass.Accumulate(b.records());
+  const TraceSummary s = pass.Result();
   EXPECT_EQ(s.label, "test");
   EXPECT_EQ(s.timers, 2u);
   EXPECT_EQ(s.concurrency, 2u);
@@ -334,7 +354,9 @@ TEST(SummaryTest, ConcurrencyIsMaxOutstanding) {
   b.Set(1, kSecond).Set(2, kSecond).Set(3, kSecond);
   b.Advance(kSecond).Expire(1).Expire(2).Expire(3);
   b.Set(4, kSecond);
-  const TraceSummary s = Summarize(b.records(), "t");
+  SummaryPass pass("t");
+  pass.Accumulate(b.records());
+  const TraceSummary s = pass.Result();
   EXPECT_EQ(s.concurrency, 3u);
 }
 
@@ -347,7 +369,10 @@ TEST(SummaryTest, UnblockSatisfiedCountsAsCanceled) {
   ok.flags = kFlagWaitSatisfied;
   TraceRecord timeout = block;
   timeout.op = TimerOp::kUnblock;
-  const TraceSummary s = Summarize({block, ok, block, timeout}, "t");
+  const std::vector<TraceRecord> records = {block, ok, block, timeout};
+  SummaryPass pass("t");
+  pass.Accumulate(records);
+  const TraceSummary s = pass.Result();
   EXPECT_EQ(s.set, 2u);
   EXPECT_EQ(s.canceled, 1u);
   EXPECT_EQ(s.expired, 1u);
@@ -363,7 +388,9 @@ TEST(HistogramTest, ThresholdDropsRareValues) {
   b.Set(2, 7 * kSecond, kFlagUser);  // ~1%: below the 2% threshold
   b.Set(3, 9 * kSecond, kFlagUser);
   HistogramOptions options;
-  const ValueHistogram h = ComputeValueHistogram(b.records(), options);
+  HistogramPass pass(options);
+  pass.Accumulate(b.records());
+  const ValueHistogram h = pass.Result();
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.buckets[0].value, kSecond);
   EXPECT_EQ(h.total_sets, 100u);
@@ -386,7 +413,9 @@ TEST(HistogramTest, KernelValuesBucketedInExactJiffies) {
   }
   HistogramOptions options;
   options.min_percent = 0;
-  const ValueHistogram h = ComputeValueHistogram(b.records(), options);
+  HistogramPass pass(options);
+  pass.Accumulate(b.records());
+  const ValueHistogram h = pass.Result();
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.buckets[0].jiffies, 51);
   EXPECT_EQ(h.buckets[0].value, 204 * kMillisecond);
@@ -399,7 +428,9 @@ TEST(HistogramTest, UserOnlyFilter) {
   HistogramOptions options;
   options.user_only = true;
   options.min_percent = 0;
-  const ValueHistogram h = ComputeValueHistogram(b.records(), options);
+  HistogramPass pass(options);
+  pass.Accumulate(b.records());
+  const ValueHistogram h = pass.Result();
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.total_sets, 1u);
 }
@@ -411,7 +442,9 @@ TEST(HistogramTest, PidExclusionFilter) {
   HistogramOptions options;
   options.exclude_pids = {7};
   options.min_percent = 0;
-  const ValueHistogram h = ComputeValueHistogram(b.records(), options);
+  HistogramPass pass(options);
+  pass.Accumulate(b.records());
+  const ValueHistogram h = pass.Result();
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.buckets[0].value, 2 * kSecond);
 }
@@ -430,7 +463,9 @@ TEST(HistogramTest, CountdownExclusionFilter) {
   HistogramOptions options;
   options.min_percent = 0;
   options.exclude_countdowns = true;
-  const ValueHistogram h = ComputeValueHistogram(b.records(), options);
+  HistogramPass pass(options);
+  pass.Accumulate(b.records());
+  const ValueHistogram h = pass.Result();
   ASSERT_EQ(h.buckets.size(), 1u);
   EXPECT_EQ(h.buckets[0].value, 5 * kSecond);
 }
@@ -442,7 +477,9 @@ TEST(ScatterTest, ExpiredAndCanceledSeparated) {
   b.Set(1, kSecond).Advance(kSecond).Expire(1);
   b.Set(2, kSecond).Advance(300 * kMillisecond).Cancel(2);
   ScatterOptions options;
-  const auto points = ComputeScatter(b.records(), options);
+  ScatterPass pass(options);
+  pass.Accumulate(b.records());
+  const auto points = pass.Result();
   ASSERT_EQ(points.size(), 2u);
   int expired = 0;
   for (const auto& p : points) {
@@ -457,7 +494,9 @@ TEST(ScatterTest, CutoffDropsVeryLateDeliveries) {
   b.Set(1, 10 * kMillisecond).Advance(30 * kMillisecond).Expire(1);
   b.Set(2, kSecond).Advance(kSecond).Expire(2);
   ScatterOptions options;
-  const auto points = ComputeScatter(b.records(), options);
+  ScatterPass pass(options);
+  pass.Accumulate(b.records());
+  const auto points = pass.Result();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_NEAR(points[0].timeout_seconds, 1.0, 0.3);
 }
@@ -465,8 +504,9 @@ TEST(ScatterTest, CutoffDropsVeryLateDeliveries) {
 TEST(ScatterTest, ImmediateTimersNotPlotted) {
   TraceBuilder b;
   b.Set(1, 0).Advance(kMillisecond).Expire(1);
-  ScatterOptions options;
-  EXPECT_TRUE(ComputeScatter(b.records(), options).empty());
+  ScatterPass pass;
+  pass.Accumulate(b.records());
+  EXPECT_TRUE(pass.Result().empty());
 }
 
 TEST(ScatterTest, AggregatesEqualPointsWithCounts) {
@@ -475,7 +515,9 @@ TEST(ScatterTest, AggregatesEqualPointsWithCounts) {
     b.Set(1, kSecond).Advance(kSecond).Expire(1);
   }
   ScatterOptions options;
-  const auto points = ComputeScatter(b.records(), options);
+  ScatterPass pass(options);
+  pass.Accumulate(b.records());
+  const auto points = pass.Result();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].count, 50u);
 }
@@ -484,7 +526,9 @@ TEST(ScatterTest, PercentReflectsCancelFraction) {
   TraceBuilder b;
   b.Set(1, 10 * kSecond).Advance(5 * kSecond).Cancel(1);
   ScatterOptions options;
-  const auto points = ComputeScatter(b.records(), options);
+  ScatterPass pass(options);
+  pass.Accumulate(b.records());
+  const auto points = pass.Result();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_NEAR(points[0].percent, 50.0, options.percent_bucket);
 }
@@ -504,7 +548,9 @@ TEST(RatesTest, GroupsByPidLabels) {
   grouping.pid_labels[1] = "Outlook";
   RateOptions options;
   options.end = 10 * kSecond;
-  const auto series = ComputeRates(b.records(), grouping, options);
+  RatesPass pass(grouping, options);
+  pass.Accumulate(b.records());
+  const auto series = pass.Result();
   ASSERT_EQ(series.size(), 2u);  // Outlook + Kernel
   for (const auto& s : series) {
     ASSERT_EQ(s.per_window.size(), 10u);
@@ -524,7 +570,9 @@ TEST(RatesTest, EmptyLabelDropsRecords) {
   grouping.default_label = "";
   RateOptions options;
   options.end = kSecond;
-  const auto series = ComputeRates(b.records(), grouping, options);
+  RatesPass pass(grouping, options);
+  pass.Accumulate(b.records());
+  const auto series = pass.Result();
   EXPECT_TRUE(series.empty());
 }
 
@@ -543,7 +591,9 @@ TEST(OriginsTest, AttributesValuesToCallsites) {
     b.Set(2, 30 * kSecond, 0, ide).Advance(10 * kMillisecond).Cancel(2).Advance(kSecond);
   }
   OriginOptions options;
-  const auto rows = ComputeOrigins(b.records(), callsites, options);
+  OriginsPass pass(&callsites, options);
+  pass.Accumulate(b.records());
+  const auto rows = pass.Result();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].origin, "usb/hc_status_poll");
   EXPECT_EQ(rows[0].pattern, UsagePattern::kPeriodic);
@@ -564,7 +614,9 @@ TEST(OriginsTest, LargeValuesAlwaysIncluded) {
   b.Set(2, 7200 * kSecond, 0, ka).Advance(kSecond).Cancel(2);
   OriginOptions options;
   options.min_percent = 1.0;
-  const auto rows = ComputeOrigins(b.records(), callsites, options);
+  OriginsPass pass(&callsites, options);
+  pass.Accumulate(b.records());
+  const auto rows = pass.Result();
   bool found_keepalive = false;
   for (const auto& row : rows) {
     found_keepalive = found_keepalive || row.origin == "tcp/keepalive";

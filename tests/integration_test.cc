@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/adaptive/adaptive_timeout.h"
 #include "src/adaptive/timer_service.h"
 #include "src/analysis/classify.h"
@@ -32,16 +34,24 @@ TEST(IntegrationTest, WorkloadTracePersistsAndReanalysesIdentically) {
   std::remove(path.c_str());
   ASSERT_TRUE(loaded.has_value());
 
-  const TraceSummary live = Summarize(run.records, "x");
-  const TraceSummary reloaded = Summarize(loaded->records, "x");
+  SummaryPass live_summary("x");
+  SummaryPass reloaded_summary("x");
+  live_summary.Accumulate(run.records);
+  reloaded_summary.Accumulate(loaded->records);
+  const TraceSummary live = live_summary.Result();
+  const TraceSummary reloaded = reloaded_summary.Result();
   EXPECT_EQ(live.accesses, reloaded.accesses);
   EXPECT_EQ(live.set, reloaded.set);
   EXPECT_EQ(live.timers, reloaded.timers);
   EXPECT_EQ(live.concurrency, reloaded.concurrency);
 
   // Classification over the reloaded trace matches the live one.
-  const auto live_classes = ClassifyTrace(run.records, ClassifyOptions{});
-  const auto reloaded_classes = ClassifyTrace(loaded->records, ClassifyOptions{});
+  ClassifyPass live_classify;
+  ClassifyPass reloaded_classify;
+  live_classify.Accumulate(run.records);
+  reloaded_classify.Accumulate(loaded->records);
+  const auto live_classes = live_classify.Result();
+  const auto reloaded_classes = reloaded_classify.Result();
   ASSERT_EQ(live_classes.size(), reloaded_classes.size());
   for (size_t i = 0; i < live_classes.size(); ++i) {
     EXPECT_EQ(static_cast<int>(live_classes[i].pattern),
@@ -72,9 +82,11 @@ TEST(IntegrationTest, VistaDeliversShortTimersLaterThanLinux) {
   // quantisation delivers short timeouts far later (relative to their
   // duration) than Linux's 4 ms jiffy.
   auto late_fraction = [](const std::vector<TraceRecord>& records) {
+    EpisodeBuilder builder;
+    builder.Accumulate(records);
     size_t considered = 0;
     size_t late = 0;
-    for (const Episode& e : BuildEpisodes(records)) {
+    for (const Episode& e : std::move(builder).Finish()) {
       if (e.end != EpisodeEnd::kExpired || e.timeout <= 0 ||
           e.timeout > 5 * kMillisecond) {
         continue;
@@ -94,7 +106,9 @@ TEST(IntegrationTest, VistaDeliversShortTimersLaterThanLinux) {
 
 TEST(IntegrationTest, ProvenanceForestCoversEveryRecordedOp) {
   TraceRun run = RunLinuxWebserver(Short());
-  const auto forest = BuildProvenanceForest(run.records, run.callsites());
+  ProvenancePass pass(&run.callsites());
+  pass.Accumulate(run.records);
+  const auto forest = pass.Result();
   uint64_t total = 0;
   for (const auto& root : forest) {
     total += root.subtree_ops;
@@ -143,8 +157,10 @@ TEST(IntegrationTest, AdaptiveTimeoutOverInstrumentedKernelTimers) {
   // The classifier sees them as the "timeout" pattern (armed, canceled
   // shortly after, re-armed later) — the paper's taxonomy applied to the
   // paper's own proposal.
+  ClassifyPass classify;
+  classify.Accumulate(buffer.records());
   bool classified_timeout = false;
-  for (const auto& c : ClassifyTrace(buffer.records(), ClassifyOptions{})) {
+  for (const auto& c : classify.Result()) {
     if (kernel.callsites().Name(c.callsite) == "adaptive/guard") {
       classified_timeout = c.pattern == UsagePattern::kTimeout ||
                            c.pattern == UsagePattern::kOther;
@@ -158,10 +174,11 @@ TEST(IntegrationTest, ScatterMassMovesWithWorkloadCharacter) {
   // cancellation mass (connection timeouts canceled at tiny fractions)
   // must visibly exceed idle's.
   auto cancel_mass_below_10pct = [](const std::vector<TraceRecord>& records) {
-    ScatterOptions options;
+    ScatterPass pass;
+    pass.Accumulate(records);
     uint64_t canceled_low = 0;
     uint64_t total = 0;
-    for (const auto& p : ComputeScatter(records, options)) {
+    for (const auto& p : pass.Result()) {
       total += p.count;
       if (!p.expired && p.percent < 10.0) {
         canceled_low += p.count;

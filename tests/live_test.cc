@@ -53,8 +53,13 @@ TraceRecord Rec(SimTime ts, TimerOp op, Pid pid = kKernelPid, TimerId timer = 1,
   return r;
 }
 
-void ExpectSeriesEqual(const std::vector<RateSeries>& live,
-                       const std::vector<RateSeries>& offline) {
+// The live series must equal the offline RatesPass over the same records.
+void ExpectMatchesOfflinePass(const std::vector<RateSeries>& live,
+                              const std::vector<TraceRecord>& records,
+                              const RateGrouping& grouping, const RateOptions& options) {
+  RatesPass pass(grouping, options);
+  pass.Accumulate(records);
+  const std::vector<RateSeries> offline = pass.Result();
   ASSERT_EQ(live.size(), offline.size());
   for (size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(live[i].label, offline[i].label) << "series " << i;
@@ -303,8 +308,7 @@ TEST(LiveAnalyzerTest, SetRateResultEqualsOfflinePassAtSeveralWindows) {
 
     RateOptions rate_options;
     rate_options.window = window;
-    ExpectSeriesEqual(analyzer.SetRateResult(),
-                      ComputeRates(records, grouping, rate_options));
+    ExpectMatchesOfflinePass(analyzer.SetRateResult(), records, grouping, rate_options);
   }
 }
 
@@ -317,9 +321,9 @@ TEST(LiveAnalyzerTest, EmptyAndDegenerateStreams) {
   // A single record: derived end == its timestamp, so nothing counts —
   // exactly like the offline pass.
   analyzer.Ingest(Rec(kSecond, TimerOp::kSet, 1, 1, kSecond));
-  ExpectSeriesEqual(analyzer.SetRateResult(),
-                    ComputeRates({Rec(kSecond, TimerOp::kSet, 1, 1, kSecond)},
-                                 RateGrouping{}, RateOptions{}));
+  ExpectMatchesOfflinePass(analyzer.SetRateResult(),
+                           {Rec(kSecond, TimerOp::kSet, 1, 1, kSecond)}, RateGrouping{},
+                           RateOptions{});
 }
 
 TEST(LiveAnalyzerTest, RingEvictionIsSurfacedNotSilent) {
@@ -430,8 +434,8 @@ TEST_F(LiveEquivalenceTest, MultiProducerStreamedRunMatchesOfflinePass) {
     EXPECT_EQ(analyzer.windows_evicted(), 0u);
     RateOptions rate_options;
     rate_options.window = window;
-    ExpectSeriesEqual(analyzer.SetRateResult(),
-                      ComputeRates(loaded->records, grouping, rate_options));
+    ExpectMatchesOfflinePass(analyzer.SetRateResult(), loaded->records, grouping,
+                             rate_options);
   }
 }
 
@@ -510,8 +514,7 @@ TEST(LiveServiceTest, ConcurrentTimerServiceDrainsIntoTheAnalyzer) {
   // offline pass over the very records the drainer emitted.
   RateOptions rate_options;
   rate_options.window = options.window;
-  ExpectSeriesEqual(analyzer.SetRateResult(),
-                    ComputeRates(merged, RateGrouping{}, rate_options));
+  ExpectMatchesOfflinePass(analyzer.SetRateResult(), merged, RateGrouping{}, rate_options);
 }
 
 // --- End to end: a real workload observed while it runs ---
@@ -562,8 +565,7 @@ TEST(LiveWorkloadTest, VistaDesktopLiveEqualsOfflineAndFlagsOutlookBurst) {
     grouping.pid_labels[pid] = name;
   }
   RateOptions rate_options;
-  ExpectSeriesEqual(analyzer->SetRateResult(),
-                    ComputeRates(run.records, grouping, rate_options));
+  ExpectMatchesOfflinePass(analyzer->SetRateResult(), run.records, grouping, rate_options);
 
   // And the observatory caught Figure 1 online: Outlook's watchdog storm
   // as a burst >= 5000 sets/s, over a kernel baseline near 1000/s.

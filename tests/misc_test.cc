@@ -57,15 +57,18 @@ TEST(ScatterOptionsTest, IncludeResetsCountsReArms) {
   expire.op = TimerOp::kExpire;
   records.push_back(expire);
 
-  ScatterOptions without;
   ScatterOptions with;
   with.include_resets = true;
+  ScatterPass without_resets;
+  ScatterPass with_resets(with);
+  without_resets.Accumulate(records);
+  with_resets.Accumulate(records);
   uint64_t n_without = 0;
   uint64_t n_with = 0;
-  for (const auto& p : ComputeScatter(records, without)) {
+  for (const auto& p : without_resets.Result()) {
     n_without += p.count;
   }
-  for (const auto& p : ComputeScatter(records, with)) {
+  for (const auto& p : with_resets.Result()) {
     n_with += p.count;
   }
   EXPECT_EQ(n_without, 1u);  // only the expiry episode

@@ -239,7 +239,9 @@ TEST(PipelineTest, SummaryConcurrencyExactAcrossChunkBoundaries) {
     r.op = TimerOp::kCancel;
     records.push_back(r);
   }
-  const TraceSummary serial = Summarize(records, "t");
+  SummaryPass serial_pass("t");
+  serial_pass.Accumulate(records);
+  const TraceSummary serial = serial_pass.Result();
   EXPECT_EQ(serial.concurrency, 5u);
 
   for (const size_t jobs : {size_t{2}, size_t{3}, size_t{5}}) {

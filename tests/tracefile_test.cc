@@ -79,8 +79,12 @@ TEST(TraceFileTest, AnalysisResultsIdenticalAfterRoundTrip) {
   const auto records = MakeTrace(&callsites);
   const auto loaded = DeserializeTrace(SerializeTrace(records, callsites));
   ASSERT_TRUE(loaded.has_value());
-  const TraceSummary original = Summarize(records, "t");
-  const TraceSummary reloaded = Summarize(loaded->records, "t");
+  SummaryPass original_summary("t");
+  SummaryPass reloaded_summary("t");
+  original_summary.Accumulate(records);
+  reloaded_summary.Accumulate(loaded->records);
+  const TraceSummary original = original_summary.Result();
+  const TraceSummary reloaded = reloaded_summary.Result();
   EXPECT_EQ(original.accesses, reloaded.accesses);
   EXPECT_EQ(original.set, reloaded.set);
   EXPECT_EQ(original.expired, reloaded.expired);
@@ -577,7 +581,9 @@ TEST(ProvenanceTest, AggregatesAlongParentChains) {
   add(tcp, 5);
   add(app, 3);
 
-  const auto forest = BuildProvenanceForest(records, callsites);
+  ProvenancePass pass(&callsites);
+  pass.Accumulate(records);
+  const auto forest = pass.Result();
   ASSERT_EQ(forest.size(), 2u);
   // net/ip subsumes everything below it: 15 ops.
   EXPECT_EQ(forest[0].name, "net/ip");
@@ -622,7 +628,9 @@ TEST(ProvenanceTest, BlameWindowMeasuresHeldTime) {
   send.op = TimerOp::kCancel;
   records.push_back(send);
 
-  const auto blame = BlameWindow(records, callsites, 5 * kSecond, 30 * kSecond);
+  BlamePass pass(&callsites, 5 * kSecond, 30 * kSecond);
+  pass.Accumulate(records);
+  const auto blame = pass.Result();
   ASSERT_EQ(blame.size(), 2u);
   EXPECT_EQ(blame[0].name, "nfs/backoff");  // sorted by held time
   EXPECT_EQ(blame[0].held, 25 * kSecond);   // clipped to the window
@@ -639,7 +647,10 @@ TEST(ProvenanceTest, BlameIncludesOpenEpisodes) {
   set.op = TimerOp::kSet;
   set.timeout = kHour;
   set.expiry = kHour;
-  const auto blame = BlameWindow({set}, callsites, 0, 10 * kSecond);
+  const std::vector<TraceRecord> records = {set};
+  BlamePass pass(&callsites, 0, 10 * kSecond);
+  pass.Accumulate(records);
+  const auto blame = pass.Result();
   ASSERT_EQ(blame.size(), 1u);
   EXPECT_EQ(blame[0].held, 10 * kSecond);  // still pending at window end
 }
@@ -653,11 +664,14 @@ TEST(ProvenanceTest, RenderersIncludeNamesAndCounts) {
   r.op = TimerOp::kSet;
   r.timeout = kSecond;
   r.expiry = kSecond;
-  const auto forest = BuildProvenanceForest({r}, callsites);
-  const std::string tree = RenderProvenance(forest);
+  const std::vector<TraceRecord> records = {r};
+  ProvenancePass provenance(&callsites);
+  BlamePass blame(&callsites, 0, kSecond);
+  provenance.Accumulate(records);
+  blame.Accumulate(records);
+  const std::string tree = RenderProvenance(provenance.Result());
   EXPECT_NE(tree.find("subsystem/x"), std::string::npos);
-  const auto blame = BlameWindow({r}, callsites, 0, kSecond);
-  const std::string report = RenderBlame(blame, 0, kSecond);
+  const std::string report = RenderBlame(blame.Result(), 0, kSecond);
   EXPECT_NE(report.find("subsystem/x"), std::string::npos);
 }
 

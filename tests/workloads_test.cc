@@ -32,11 +32,17 @@ bool RecordsTimeOrdered(const std::vector<TraceRecord>& records) {
   return true;
 }
 
+TraceSummary SummaryOf(const TraceRun& run) {
+  SummaryPass pass(run.label);
+  pass.Accumulate(run.records);
+  return pass.Result();
+}
+
 // Sanity invariants every trace must satisfy.
 void CheckTraceInvariants(const TraceRun& run) {
   ASSERT_FALSE(run.records.empty());
   EXPECT_TRUE(RecordsTimeOrdered(run.records));
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   EXPECT_GT(s.timers, 0u);
   EXPECT_GT(s.concurrency, 0u);
   // Every ended episode had a set: expired + canceled <= set (+ blocks).
@@ -47,7 +53,7 @@ void CheckTraceInvariants(const TraceRun& run) {
 TEST(LinuxWorkloadTest, IdleUserSpaceDominatesAndCancelsExceedExpiries) {
   TraceRun run = RunLinuxIdle(ShortRun());
   CheckTraceInvariants(run);
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   // Table 1 Idle: user-space accesses dominate (X/icewm select churn), and
   // "on Linux more timers are canceled [than expire]".
   EXPECT_GT(s.user_space, s.kernel);
@@ -56,7 +62,9 @@ TEST(LinuxWorkloadTest, IdleUserSpaceDominatesAndCancelsExceedExpiries) {
 
 TEST(LinuxWorkloadTest, IdleContainsSelectCountdowns) {
   TraceRun run = RunLinuxIdle(ShortRun());
-  const auto classes = ClassifyTrace(run.records, ClassifyOptions{});
+  ClassifyPass pass;
+  pass.Accumulate(run.records);
+  const auto classes = pass.Result();
   bool countdown = false;
   for (const auto& c : classes) {
     countdown = countdown || c.pattern == UsagePattern::kCountdown;
@@ -68,7 +76,9 @@ TEST(LinuxWorkloadTest, IdleShowsPaperKernelValues) {
   TraceRun run = RunLinuxIdle(ShortRun());
   HistogramOptions options;
   options.min_percent = 0.5;
-  const ValueHistogram h = ComputeValueHistogram(run.records, options);
+  HistogramPass pass(options);
+  pass.Accumulate(run.records);
+  const ValueHistogram h = pass.Result();
   std::set<int64_t> jiffy_values;
   for (const auto& bucket : h.buckets) {
     if (bucket.jiffies >= 0) {
@@ -113,7 +123,9 @@ TEST(LinuxWorkloadTest, SkypeShowsHalfSecondConstants) {
   HistogramOptions options;
   options.user_only = true;
   options.min_percent = 2.0;
-  const ValueHistogram h = ComputeValueHistogram(run.records, options);
+  HistogramPass pass(options);
+  pass.Accumulate(run.records);
+  const ValueHistogram h = pass.Result();
   bool saw_0 = false;
   bool saw_4999 = false;
   bool saw_500 = false;
@@ -133,7 +145,7 @@ TEST(LinuxWorkloadTest, WebserverKernelAccessesDominate) {
   options.duration = 5 * kMinute;
   TraceRun run = RunLinuxWebserver(options);
   CheckTraceInvariants(run);
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   // Table 1 Webserver: the only workload where kernel accesses dominate
   // (per-connection TCP timers).
   EXPECT_GT(s.kernel, s.user_space);
@@ -145,7 +157,9 @@ TEST(LinuxWorkloadTest, WebserverShowsTcpSignatureValues) {
   TraceRun run = RunLinuxWebserver(options);
   HistogramOptions hist;
   hist.min_percent = 0.5;
-  const ValueHistogram h = ComputeValueHistogram(run.records, hist);
+  HistogramPass pass(hist);
+  pass.Accumulate(run.records);
+  const ValueHistogram h = pass.Result();
   std::set<int64_t> jiffies;
   for (const auto& bucket : h.buckets) {
     jiffies.insert(bucket.jiffies);
@@ -159,7 +173,7 @@ TEST(LinuxWorkloadTest, WebserverHasFewTimerIdentitiesDespiteManyConnections) {
   WorkloadOptions options = ShortRun();
   options.duration = 5 * kMinute;
   TraceRun run = RunLinuxWebserver(options);
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   // Table 1: 30000 connections but only ~100 timer structs (slab reuse).
   EXPECT_LT(s.timers, 200u);
   EXPECT_GT(s.set, 1000u);
@@ -188,14 +202,14 @@ TEST(LinuxWorkloadTest, DifferentSeedsDiffer) {
 TEST(VistaWorkloadTest, IdleExpiriesDominateCancellations) {
   TraceRun run = RunVistaIdle(ShortRun());
   CheckTraceInvariants(run);
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   // Table 2: "on Vista timers more often expire".
   EXPECT_GT(s.expired, 4 * s.canceled);
 }
 
 TEST(VistaWorkloadTest, IdleKernelAccessesDominate) {
   TraceRun run = RunVistaIdle(ShortRun());
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   EXPECT_GT(s.kernel, s.user_space);
 }
 
@@ -204,8 +218,8 @@ TEST(VistaWorkloadTest, IdleHasMoreTimerIdentitiesThanLinux) {
   TraceRun linux_run = RunLinuxIdle(ShortRun());
   // Tables 1-2: Vista allocates ~3x the timer structures (144 vs 47),
   // because KTIMERs are created per use.
-  const uint64_t vista_timers = Summarize(vista.records, "v").timers;
-  const uint64_t linux_timers = Summarize(linux_run.records, "l").timers;
+  const uint64_t vista_timers = SummaryOf(vista).timers;
+  const uint64_t linux_timers = SummaryOf(linux_run).timers;
   EXPECT_GT(vista_timers, linux_timers);
 }
 
@@ -266,7 +280,9 @@ TEST(VistaWorkloadTest, DeferredPatternPresentInIdle) {
   WorkloadOptions options = ShortRun();
   options.duration = 10 * kMinute;  // enough bursts to classify
   TraceRun run = RunVistaIdle(options);
-  const auto classes = ClassifyTrace(run.records, ClassifyOptions{});
+  ClassifyPass pass;
+  pass.Accumulate(run.records);
+  const auto classes = pass.Result();
   bool registry_deferred = false;
   for (const auto& c : classes) {
     if (c.pattern == UsagePattern::kDeferred &&
@@ -285,7 +301,9 @@ TEST(VistaWorkloadTest, DesktopOutlookBurstsAboveBaseline) {
   grouping.pid_labels[run.pids.at("outlook.exe")] = "Outlook";
   RateOptions rate_options;
   rate_options.end = options.duration;
-  const auto series = ComputeRates(run.records, grouping, rate_options);
+  RatesPass pass(grouping, rate_options);
+  pass.Accumulate(run.records);
+  const auto series = pass.Result();
   const RateSeries* outlook = nullptr;
   const RateSeries* kernel = nullptr;
   for (const auto& s : series) {
@@ -369,7 +387,7 @@ TEST_P(WorkloadSeedSweep, TraceInvariantsHoldForEverySeed) {
   TraceRun run = workload.run(options);
   ASSERT_FALSE(run.records.empty());
   EXPECT_TRUE(RecordsTimeOrdered(run.records));
-  const TraceSummary s = Summarize(run.records, run.label);
+  const TraceSummary s = SummaryOf(run);
   EXPECT_GT(s.set, 0u);
   EXPECT_EQ(s.accesses, s.user_space + s.kernel);
   EXPECT_LE(s.expired + s.canceled, s.set + s.concurrency);

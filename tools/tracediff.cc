@@ -1,7 +1,7 @@
 // tracediff — compares two trace files (e.g. a kernel-feature ablation):
-// summary deltas, per-call-site set-count deltas, and values that appear in
-// only one trace. Inputs may mix on-disk formats freely (flat v1, chunked
-// v2, columnar v3) — ReadTraceFile decodes them all.
+// summary deltas and per-call-site set-count deltas. Inputs may mix
+// on-disk formats freely (flat v1, chunked v2, columnar v3) —
+// ReadTraceFile decodes them all.
 
 #include <algorithm>
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/histogram.h"
 #include "src/analysis/summary.h"
 #include "src/trace/file.h"
 #include "tools/common.h"
@@ -57,8 +56,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const TraceSummary sa = Summarize(a->records, "A");
-  const TraceSummary sb = Summarize(b->records, "B");
+  SummaryPass pass_a("A");
+  SummaryPass pass_b("B");
+  pass_a.Accumulate(a->records);
+  pass_b.Accumulate(b->records);
+  const TraceSummary sa = pass_a.Result();
+  const TraceSummary sb = pass_b.Result();
   std::printf("%-12s %12s %12s %10s\n", "metric", path_a.c_str(), path_b.c_str(), "delta");
   auto row = [&](const char* name, uint64_t va, uint64_t vb) {
     std::printf("%-12s %12llu %12llu %+10lld\n", name,
