@@ -114,21 +114,24 @@ const char* SlackClassName(SlackClass c) {
 
 void SlackState::CloseFired(const OpenArm& arm, SimTime fire) {
   // What the caller asked for, what the kernel scheduled after rounding.
+  // Decoded times may lie anywhere in int64_t: a request past INT64_MAX
+  // saturates there, so a fire before it counts as early, and the gaps
+  // are unsigned distances.
   const SimTime requested =
-      arm.timeout > 0 ? arm.set_time + arm.timeout
+      arm.timeout > 0 ? SaturatingAdd(arm.set_time, arm.timeout)
                       : (arm.expiry > 0 ? arm.expiry : arm.set_time);
   const SimTime deadline = arm.expiry > 0 ? arm.expiry : requested;
 
   uint64_t slack = 0;
   if (fire >= requested) {
-    slack = static_cast<uint64_t>(fire - requested);
+    slack = Distance(fire, requested);
   } else {
     // Fired before the request — an expiry clamped by a monotonic
     // Advance, or an absolute set already in the past.
     ++early_fires_;
   }
-  const uint64_t firing = fire > deadline ? static_cast<uint64_t>(fire - deadline) : 0;
-  const uint64_t skew = deadline > requested ? static_cast<uint64_t>(deadline - requested) : 0;
+  const uint64_t firing = fire > deadline ? Distance(fire, deadline) : 0;
+  const uint64_t skew = deadline > requested ? Distance(deadline, requested) : 0;
 
   total_.Record(slack);
   firing_.Record(firing);

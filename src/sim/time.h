@@ -55,6 +55,24 @@ constexpr double ToMilliseconds(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);
 }
 
+// Decoded traces may carry times anywhere in int64_t, where a plain sum
+// or difference of two of them can overflow. These two never do.
+
+// |a - b| as an unsigned count of nanoseconds, exact for any a and b.
+constexpr uint64_t Distance(SimTime a, SimTime b) {
+  return a > b ? static_cast<uint64_t>(a) - static_cast<uint64_t>(b)
+               : static_cast<uint64_t>(b) - static_cast<uint64_t>(a);
+}
+
+// t + d, clamped to the int64_t range.
+constexpr SimTime SaturatingAdd(SimTime t, SimDuration d) {
+  SimTime sum = 0;
+  if (__builtin_add_overflow(t, d, &sum)) {
+    return d > 0 ? INT64_MAX : INT64_MIN;
+  }
+  return sum;
+}
+
 // Formats a duration with an adaptive unit suffix, e.g. "1.5ms", "7200s".
 // Intended for human-readable analysis output, not for parsing.
 std::string FormatDuration(SimDuration d);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -122,6 +123,30 @@ TEST(LatencySpans, ExpireWithoutExpiryFallsBackToTheRequestedTime) {
   EXPECT_EQ(state.total().sum, static_cast<uint64_t>(3 * kMillisecond));
   EXPECT_EQ(state.skew().sum, 0u);
   EXPECT_EQ(state.firing().sum, static_cast<uint64_t>(3 * kMillisecond));
+}
+
+TEST(LatencySpans, ExtremeTimesDoNotOverflow) {
+  // A damaged or hostile trace can put times anywhere in int64_t. Timer 1
+  // asks for set + timeout past INT64_MAX: the request saturates, so its
+  // fire is early. Timer 2's request lies near INT64_MIN and its fire near
+  // INT64_MAX: the slack is wider than int64_t holds, but not than its
+  // unsigned distance does.
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  const std::vector<TraceRecord> records = {
+      Rec(TimerOp::kSet, kMin + 1, 2, kSecond),
+      Rec(TimerOp::kSet, kMax - 10, 1, kSecond),
+      Rec(TimerOp::kExpire, kMax - 5, 1),
+      Rec(TimerOp::kExpire, kMax - 1, 2),
+  };
+  const SlackState state = Fold(records);
+  EXPECT_EQ(state.fired_spans(), 2u);
+  EXPECT_EQ(state.early_fires(), 1u);
+  const uint64_t slack = UINT64_MAX - 2 - static_cast<uint64_t>(kSecond);
+  EXPECT_EQ(state.total().count, 2u);
+  EXPECT_EQ(state.total().max, slack);
+  EXPECT_EQ(state.firing().max, slack);
+  EXPECT_EQ(state.skew().sum, 0u);
 }
 
 TEST(LatencySpans, UnmatchedCloseIsCountedNotInvented) {
