@@ -5,10 +5,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <variant>
 #include <vector>
 
+#include "src/analysis/lifetimes.h"
 #include "src/analysis/pass.h"
 #include "src/trace/record.h"
 
@@ -35,14 +35,18 @@ struct TraceSummary {
 
 // Streaming summary (Tables 1/2) as an AnalysisPass.
 //
-// Counters and the distinct-timer set merge trivially; the subtle field
-// is `concurrency`, the all-time maximum of the outstanding-timer set,
-// which depends on timers carried over a chunk boundary. Each pass
-// therefore records, per "segment" between first touches of distinct
-// timers, the maximum size its local outstanding set reached; at merge
-// time the later pass's segment maxima are raised by however many of the
-// earlier pass's open timers it had not yet touched. That reproduces the
-// serial maximum exactly for any chunking (see pipeline tests).
+// Counters merge by addition. The per-timer state is one TimerJoin
+// (lifetimes.h), the join the lifetime folds use: a timer is outstanding
+// while its entry is open, TimerJoin::Merge carries the open set across a
+// chunk boundary, and its entries plus the timers seen only in init
+// records give `timers`. The subtle field is `concurrency`, the all-time
+// maximum of the outstanding set, which depends on timers carried over a
+// chunk boundary. Each pass therefore records, per "segment" between
+// first touches of distinct timers, the maximum open count it reached; at
+// merge time the later pass's segment maxima are raised by however many
+// of the earlier pass's open timers it had not yet touched. That
+// reproduces the serial maximum exactly for any chunking (see
+// episode_fold_test).
 class SummaryPass : public AnalysisPass {
  public:
   explicit SummaryPass(std::string label) : label_(std::move(label)) {}
@@ -57,16 +61,12 @@ class SummaryPass : public AnalysisPass {
   TraceSummary Result() const;
 
  private:
-  void Touch(TimerId timer);
-
   std::string label_;
   TraceSummary partial_;  // counter fields only; timers/concurrency at Result
-  std::unordered_set<TimerId> timers_;
-  std::unordered_set<TimerId> open_;  // outstanding at the end of our range
-  // Timers in order of first non-init operation, and the max |open_|
-  // sampled after each of those first touches (index k: after the k-th
-  // touch; 0 = no arming sample in that span).
-  std::unordered_map<TimerId, size_t> touched_index_;
+  TimerJoin<std::monostate> join_;
+  // The join's timers in order of first non-init operation, and the max
+  // open count sampled after each of those first touches (index k: after
+  // the k-th touch; 0 = no arming sample in that span).
   std::vector<TimerId> touched_order_;
   std::vector<uint64_t> segment_max_ = {0};
 };
