@@ -85,6 +85,11 @@ double SlackHist::Quantile(double q) const {
   return static_cast<double>(max);
 }
 
+uint64_t SlackHist::QuantileNs(double q) const {
+  const double ns = Quantile(q);
+  return ns >= 0x1p64 ? UINT64_MAX : static_cast<uint64_t>(ns);
+}
+
 SlackClass SlackClassFor(uint16_t flags) {
   if ((flags & kFlagDeferrable) != 0) {
     return SlackClass::kDeferrable;
@@ -240,9 +245,8 @@ std::string HistRow(const char* label, const SlackHist& h) {
   }
   std::snprintf(line, sizeof(line),
                 "  %-12s %10" PRIu64 " spans  p50 %10s  p99 %10s  max %10s\n", label,
-                h.count, FormatDuration(static_cast<SimDuration>(h.Quantile(0.50))).c_str(),
-                FormatDuration(static_cast<SimDuration>(h.Quantile(0.99))).c_str(),
-                FormatDuration(static_cast<SimDuration>(h.max)).c_str());
+                h.count, FormatDistance(h.QuantileNs(0.50)).c_str(),
+                FormatDistance(h.QuantileNs(0.99)).c_str(), FormatDistance(h.max).c_str());
   return line;
 }
 
@@ -267,11 +271,9 @@ std::vector<std::pair<Key, SlackBlame>> TopK(const std::map<Key, SlackBlame>& bl
 std::vector<std::string> BlameRow(const std::string& who, const SlackBlame& b) {
   char spans[32];
   std::snprintf(spans, sizeof(spans), "%" PRIu64, b.spans);
-  const SimDuration mean =
-      b.spans == 0 ? 0
-                   : static_cast<SimDuration>(b.slack_sum / b.spans);
-  return {who, spans, FormatDuration(static_cast<SimDuration>(b.slack_sum)),
-          FormatDuration(mean), FormatDuration(static_cast<SimDuration>(b.slack_max))};
+  const uint64_t mean = b.spans == 0 ? 0 : b.slack_sum / b.spans;
+  return {who, spans, FormatDistance(b.slack_sum), FormatDistance(mean),
+          FormatDistance(b.slack_max)};
 }
 
 }  // namespace

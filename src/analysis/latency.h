@@ -66,6 +66,9 @@ struct SlackHist {
   // Value at quantile q in [0, 1], interpolated within the winning bucket
   // and clamped to the observed extremes; 0 when empty.
   double Quantile(double q) const;
+  // Quantile(q) truncated to whole nanoseconds; saturates where the double
+  // rounds up past UINT64_MAX.
+  uint64_t QuantileNs(double q) const;
   bool empty() const { return count == 0; }
   double mean() const {
     return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
@@ -95,21 +98,26 @@ const char* SlackClassName(SlackClass c);
 // Per-key blame aggregate for the top-K tables.
 struct SlackBlame {
   uint64_t spans = 0;      // fired spans attributed to this key
-  uint64_t slack_sum = 0;  // total slack ns across those spans
+  uint64_t slack_sum = 0;  // total slack ns across those spans, saturating
   uint64_t slack_max = 0;
 
   void Add(uint64_t slack) {
     ++spans;
-    slack_sum += slack;
+    AddToSum(slack);
     if (slack > slack_max) {
       slack_max = slack;
     }
   }
   void Merge(const SlackBlame& o) {
     spans += o.spans;
-    slack_sum += o.slack_sum;
+    AddToSum(o.slack_sum);
     if (o.slack_max > slack_max) {
       slack_max = o.slack_max;
+    }
+  }
+  void AddToSum(uint64_t slack) {
+    if (__builtin_add_overflow(slack_sum, slack, &slack_sum)) {
+      slack_sum = UINT64_MAX;
     }
   }
   bool operator==(const SlackBlame&) const = default;

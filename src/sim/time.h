@@ -77,6 +77,10 @@ constexpr SimTime SaturatingAdd(SimTime t, SimDuration d) {
 // Intended for human-readable analysis output, not for parsing.
 std::string FormatDuration(SimDuration d);
 
+// Formats an unsigned span of nanoseconds the same way, so a span wider
+// than int64_t (a Distance) still prints as positive.
+std::string FormatDistance(uint64_t ns);
+
 }  // namespace tempo
 
 #endif  // TEMPO_SRC_SIM_TIME_H_
