@@ -15,15 +15,10 @@
 
 #include "src/trace/file.h"
 #include "src/trace/stream_writer.h"
-#include "src/workloads/linux_workloads.h"
-#include "src/workloads/vista_workloads.h"
+#include "src/workloads/run.h"
 #include "tools/common.h"
 
 namespace {
-
-constexpr const char* kWorkloadList =
-    "  workloads: linux-{idle,skype,firefox,webserver},\n"
-    "             vista-{idle,skype,firefox,webserver,desktop}\n";
 
 // Size of `path`, or 0 when it cannot be measured.
 uint64_t FileSize(const std::string& path) {
@@ -54,7 +49,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", args.error().c_str());
     }
     tools::PrintUsage(stderr, argv[0], "<workload> <output-file> [minutes] [seed]", kFlags,
-                      kWorkloadList);
+                      WorkloadUsage("", "").c_str());
     return 2;
   }
   tools::OutputFormat format = tools::OutputFormat::kText;
@@ -103,30 +98,12 @@ int main(int argc, char** argv) {
     options.seed = tools::ParseUint("seed", positionals[3]);
   }
 
-  const std::string& which = positionals[0];
-  TraceRun run;
-  if (which == "linux-idle") {
-    run = RunLinuxIdle(options);
-  } else if (which == "linux-skype") {
-    run = RunLinuxSkype(options);
-  } else if (which == "linux-firefox") {
-    run = RunLinuxFirefox(options);
-  } else if (which == "linux-webserver") {
-    run = RunLinuxWebserver(options);
-  } else if (which == "vista-idle") {
-    run = RunVistaIdle(options);
-  } else if (which == "vista-skype") {
-    run = RunVistaSkype(options);
-  } else if (which == "vista-firefox") {
-    run = RunVistaFirefox(options);
-  } else if (which == "vista-webserver") {
-    run = RunVistaWebserver(options);
-  } else if (which == "vista-desktop") {
-    run = RunVistaDesktop(options);
-  } else {
-    std::fprintf(stderr, "error: unknown workload %s\n", which.c_str());
+  const WorkloadEntry* workload = FindWorkload(positionals[0]);
+  if (workload == nullptr) {
+    std::fprintf(stderr, "error: unknown workload %s\n", positionals[0].c_str());
     return 2;
   }
+  TraceRun run = workload->run(options);
 
   const std::string& output = positionals[1];
   if (args.Has("stream")) {
