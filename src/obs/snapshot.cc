@@ -62,6 +62,25 @@ std::string LabeledName(const SnapshotEntry& e) {
   return out;
 }
 
+// Trims trailing zeros so quantiles render as "12", "12.5", "12.25".
+std::string Compact(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f", v);
+  char* dot = std::strchr(buf, '.');
+  if (dot != nullptr) {
+    char* end = buf + std::strlen(buf) - 1;
+    while (end > dot && *end == '0') {
+      *end-- = '\0';
+    }
+    if (end == dot) {
+      *end = '\0';
+    }
+  }
+  return buf;
+}
+
+}  // namespace
+
 // JSON string escaping. Unlike the Prometheus exposition format (three
 // escapes), JSON forbids *every* control character below 0x20 inside a
 // string, so the remaining ones get the \u00XX form.
@@ -101,25 +120,6 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
-
-// Trims trailing zeros so quantiles render as "12", "12.5", "12.25".
-std::string Compact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  char* dot = std::strchr(buf, '.');
-  if (dot != nullptr) {
-    char* end = buf + std::strlen(buf) - 1;
-    while (end > dot && *end == '0') {
-      *end-- = '\0';
-    }
-    if (end == dot) {
-      *end = '\0';
-    }
-  }
-  return buf;
-}
-
-}  // namespace
 
 std::string RenderText(const MetricsSnapshot& snapshot) {
   // First pass: column width for the labeled names.

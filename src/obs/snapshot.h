@@ -16,6 +16,12 @@
 namespace tempo {
 namespace obs {
 
+// `s` as the inside of a JSON string: quote, backslash and every control
+// character below 0x20 escaped (\n, \t, \r, \b, \f, else \u00XX). The one
+// JSON string escaper of the obs renderers, the analysis JSON sink and
+// the tools.
+std::string JsonEscape(const std::string& s);
+
 // Aligned, human-readable table. Histograms render count/mean/p50/p90/p99.
 std::string RenderText(const MetricsSnapshot& snapshot);
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/snapshot.h"
 #include "tools/common.h"
 
 namespace tempo {
@@ -248,21 +249,6 @@ const char* GateStateName(GateState state) {
   return "fail";
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace tempo
 
@@ -343,14 +329,14 @@ int main(int argc, char** argv) {
       if (i > 0) {
         out += ",";
       }
-      out += "{\"file\":\"" + JsonEscape(benches[i].file) + "\",\"values\":{";
+      out += "{\"file\":\"" + obs::JsonEscape(benches[i].file) + "\",\"values\":{";
       for (size_t j = 0; j < benches[i].values.size(); ++j) {
         const FlatValue& v = benches[i].values[j];
         if (j > 0) {
           out += ",";
         }
-        out += "\"" + JsonEscape(v.path) + "\":";
-        out += v.is_string ? "\"" + JsonEscape(v.value) + "\"" : v.value;
+        out += "\"" + obs::JsonEscape(v.path) + "\":";
+        out += v.is_string ? "\"" + obs::JsonEscape(v.value) + "\"" : v.value;
       }
       out += "}}";
     }
@@ -360,9 +346,9 @@ int main(int argc, char** argv) {
       if (i > 0) {
         out += ",";
       }
-      out += "{\"file\":\"" + JsonEscape(gate.file) + "\",\"path\":\"" +
-             JsonEscape(gate.path) + "\",\"state\":\"" + GateStateName(gate.state) +
-             "\",\"status\":\"" + JsonEscape(gate.status) + "\"}";
+      out += "{\"file\":\"" + obs::JsonEscape(gate.file) + "\",\"path\":\"" +
+             obs::JsonEscape(gate.path) + "\",\"state\":\"" + GateStateName(gate.state) +
+             "\",\"status\":\"" + obs::JsonEscape(gate.status) + "\"}";
     }
     out += "]}";
     std::printf("%s\n", out.c_str());
