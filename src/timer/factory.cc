@@ -1,8 +1,6 @@
 // Factory and TimerQueue base-class behaviour: the options constructor,
 // the batch-entry-point defaults, and the monotonic-Advance boundary check.
 
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "src/timer/hashed_wheel.h"
@@ -16,17 +14,10 @@ namespace tempo {
 
 size_t TimerQueue::Advance(SimTime now) {
   if (now < advance_watermark_) {
-    // The contract says `now` must not go backwards; catch the violation
-    // here so no implementation's hand/cascade state can be corrupted.
+    // A backwards clock is clamped to the high-water mark and counted,
+    // so no implementation's hand/cascade state can be corrupted.
     ++backwards_advances_;
-#ifndef NDEBUG
-    std::fprintf(stderr,
-                 "TimerQueue::Advance: clock went backwards (%lld < %lld) on %s\n",
-                 static_cast<long long>(now),
-                 static_cast<long long>(advance_watermark_), Name().c_str());
-    std::abort();
-#endif
-    now = advance_watermark_;  // release: clamp to the high-water mark
+    now = advance_watermark_;
   }
   advance_watermark_ = now;
   return AdvanceTo(now);

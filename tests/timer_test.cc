@@ -442,11 +442,7 @@ TEST_P(TimerQueueTest, BackwardsAdvanceIsHandled) {
   EXPECT_EQ(queue->Advance(20 * kMillisecond), 0u);
   EXPECT_EQ(queue->advance_watermark(), 20 * kMillisecond);
   EXPECT_EQ(queue->backwards_advances(), 0u);
-#ifndef NDEBUG
-  // Debug builds abort: a backwards clock is a caller bug.
-  EXPECT_DEATH(queue->Advance(10 * kMillisecond), "backwards");
-#else
-  // Release builds clamp to the high-water mark and count the violation;
+  // Every build clamps to the high-water mark and counts the violation;
   // the wheel state must stay intact and the timer must still fire on time.
   EXPECT_EQ(queue->Advance(10 * kMillisecond), 0u);
   EXPECT_EQ(queue->backwards_advances(), 1u);
@@ -455,7 +451,6 @@ TEST_P(TimerQueueTest, BackwardsAdvanceIsHandled) {
   queue->Advance(40 * kMillisecond);
   EXPECT_TRUE(fired);
   EXPECT_EQ(queue->backwards_advances(), 1u);
-#endif
 }
 
 // --- lawn-specific behaviour ---
