@@ -1,5 +1,7 @@
 #include "src/live/slack_tracker.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 
 namespace tempo {
@@ -40,10 +42,14 @@ void SlackTracker::SyncObs() {
   if (gauge_p50_ == nullptr) {
     return;
   }
+  // Gauges are signed: a slack past INT64_MAX saturates instead of wrapping.
+  const auto ns = [](uint64_t slack) {
+    return static_cast<int64_t>(std::min<uint64_t>(slack, INT64_MAX));
+  };
   const SlackHist& total = state_.total();
-  gauge_p50_->Set(static_cast<int64_t>(total.Quantile(0.50)));
-  gauge_p99_->Set(static_cast<int64_t>(total.Quantile(0.99)));
-  gauge_max_->Set(static_cast<int64_t>(total.max));
+  gauge_p50_->Set(ns(total.QuantileNs(0.50)));
+  gauge_p99_->Set(ns(total.QuantileNs(0.99)));
+  gauge_max_->Set(ns(total.max));
   gauge_open_->Set(static_cast<int64_t>(state_.open_spans()));
   counter_early_->AdvanceTo(state_.early_fires());
 }
