@@ -133,7 +133,9 @@ std::optional<TraceChunkReader> TraceChunkReader::Parse(std::shared_ptr<const ui
       (version != kTraceFileVersion && !parse.Read32(&capacity))) {
     return Fail(TraceReadError::kTruncated, error);
   }
-  if (capacity == 0) {
+  // Every chunk's decode buffers are sized from its record count, so the
+  // capacity is bounded before any chunk is located.
+  if (capacity == 0 || capacity > kMaxChunkRecords) {
     return Fail(TraceReadError::kCorrupt, error);
   }
   reader.record_count_ = records;

@@ -18,11 +18,11 @@
 // Damage: a file that ends before its declared layout does is kTruncated,
 // and so is a v3 file that declares more than 64 records per byte of file
 // (no payload that small could hold them). A file that contradicts itself
-// is kCorrupt: an index entry that
-// disagrees with the chunks, bytes after the index trailer (or after the
-// records of a v1 file), a record op past kUnblock, or a call-site id
-// outside the file's table. Open checks the layout; a cursor checks each
-// chunk's records as it decodes them.
+// is kCorrupt: a chunk capacity of zero or above kMaxChunkRecords, an
+// index entry that disagrees with the chunks, bytes after the index
+// trailer (or after the records of a v1 file), a record op past kUnblock,
+// or a call-site id outside the file's table. Open checks the layout; a
+// cursor checks each chunk's records as it decodes them.
 //
 // Read path: Open memory-maps the file read-only, so cursors decode
 // straight out of the page cache with no read syscalls or staging copies.

@@ -10,46 +10,7 @@
 
 namespace tempo {
 
-namespace {
-
-void Put64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Put32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Put16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-uint64_t Get64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-uint32_t Get32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] | (p[1] << 8)); }
-
-}  // namespace
-
-void EncodeRecord(const TraceRecord& record, std::vector<uint8_t>* out) {
+void EncodeRecords(std::span<const TraceRecord> records, std::vector<uint8_t>* out) {
   // Layout (little endian):
   //   0  timestamp   i64
   //   8  timer       u64
@@ -66,31 +27,41 @@ void EncodeRecord(const TraceRecord& record, std::vector<uint8_t>* out) {
   // Expiry is quantised to 1.024 us in the binary form; the in-memory form
   // keeps full resolution. This mirrors real binary trace formats that trade
   // precision of redundant fields for record density.
-  const uint64_t expiry_q = static_cast<uint64_t>(record.expiry) >> 10;
-  Put64(static_cast<uint64_t>(record.timestamp), out);
-  Put64(record.timer, out);
-  Put64(static_cast<uint64_t>(record.timeout), out);
-  Put32(static_cast<uint32_t>(expiry_q & 0xffffffffu), out);
-  Put32(record.callsite, out);
-  Put32(record.stack, out);
-  Put16(static_cast<uint16_t>(record.pid), out);
-  Put16(static_cast<uint16_t>(record.tid), out);
-  out->push_back(static_cast<uint8_t>(record.op));
-  out->push_back(static_cast<uint8_t>((expiry_q >> 32) & 0xff));
-  Put16(record.flags, out);
-  Put32(0, out);
+  const size_t at = out->size();
+  out->resize(at + records.size() * kEncodedRecordSize);
+  uint8_t* p = out->data() + at;
+  for (const TraceRecord& record : records) {
+    const uint64_t expiry_q = static_cast<uint64_t>(record.expiry) >> 10;
+    wire::Store64(static_cast<uint64_t>(record.timestamp), p + 0);
+    wire::Store64(record.timer, p + 8);
+    wire::Store64(static_cast<uint64_t>(record.timeout), p + 16);
+    wire::Store32(static_cast<uint32_t>(expiry_q), p + 24);
+    wire::Store32(record.callsite, p + 28);
+    wire::Store32(record.stack, p + 32);
+    wire::Store16(static_cast<uint16_t>(record.pid), p + 36);
+    wire::Store16(static_cast<uint16_t>(record.tid), p + 38);
+    p[40] = static_cast<uint8_t>(record.op);
+    p[41] = static_cast<uint8_t>(expiry_q >> 32);
+    wire::Store16(record.flags, p + 42);
+    wire::Store32(0, p + 44);
+    p += kEncodedRecordSize;
+  }
+}
+
+void EncodeRecord(const TraceRecord& record, std::vector<uint8_t>* out) {
+  EncodeRecords(std::span<const TraceRecord>(&record, 1), out);
 }
 
 std::optional<TraceRecord> DecodeRecord(const uint8_t* data) {
   TraceRecord r;
-  r.timestamp = static_cast<SimTime>(Get64(data + 0));
-  r.timer = Get64(data + 8);
-  r.timeout = static_cast<SimDuration>(Get64(data + 16));
-  const uint64_t expiry_lo = Get32(data + 24);
-  r.callsite = Get32(data + 28);
-  r.stack = Get32(data + 32);
-  r.pid = static_cast<Pid>(static_cast<int16_t>(Get16(data + 36)));
-  r.tid = static_cast<Tid>(static_cast<int16_t>(Get16(data + 38)));
+  r.timestamp = static_cast<SimTime>(wire::Get64(data + 0));
+  r.timer = wire::Get64(data + 8);
+  r.timeout = static_cast<SimDuration>(wire::Get64(data + 16));
+  const uint64_t expiry_lo = wire::Get32(data + 24);
+  r.callsite = wire::Get32(data + 28);
+  r.stack = wire::Get32(data + 32);
+  r.pid = static_cast<Pid>(static_cast<int16_t>(wire::Get16(data + 36)));
+  r.tid = static_cast<Tid>(static_cast<int16_t>(wire::Get16(data + 38)));
   const uint8_t op = data[40];
   if (op > static_cast<uint8_t>(TimerOp::kUnblock)) {
     return std::nullopt;
@@ -98,7 +69,7 @@ std::optional<TraceRecord> DecodeRecord(const uint8_t* data) {
   r.op = static_cast<TimerOp>(op);
   const uint64_t expiry_hi = data[41];
   r.expiry = static_cast<SimTime>(((expiry_hi << 32) | expiry_lo) << 10);
-  r.flags = Get16(data + 42);
+  r.flags = wire::Get16(data + 42);
   return r;
 }
 
@@ -127,18 +98,6 @@ inline uint8_t* PutVarintAt(uint64_t v, uint8_t* p) {
   }
   *p++ = static_cast<uint8_t>(v);
   return p;
-}
-
-inline void Store32(uint32_t v, uint8_t* p) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-inline void Store64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
 }
 
 // The codecs whose length depends only on each value and its predecessor,
@@ -244,7 +203,7 @@ void WriteStripe(std::span<const uint64_t> values, StripeCodec codec,
   switch (codec) {
     case StripeCodec::kRaw:
       for (const uint64_t v : values) {
-        Store64(v, p);
+        wire::Store64(v, p);
         p += 8;
       }
       return;
@@ -416,7 +375,7 @@ ChunkParse DecodeStripe(StripeCodec codec, const uint8_t* data, size_t size,
         return ChunkParse::kCorrupt;
       }
       for (size_t i = 0; i < count; ++i) {
-        values[i] = Get64(p + i * 8);
+        values[i] = wire::Get64(p + i * 8);
       }
       return ChunkParse::kOk;
     }
@@ -768,7 +727,8 @@ void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_code
     const StripeCodec stripe_codec =
         EncodeStripeBest(std::span<const uint64_t>(lanes[f], n), scratch, blob);
     (*blob)[stripe_at] = static_cast<uint8_t>(stripe_codec);
-    Store32(static_cast<uint32_t>(blob->size() - stripe_at - 5), blob->data() + stripe_at + 1);
+    wire::Store32(static_cast<uint32_t>(blob->size() - stripe_at - 5),
+                  blob->data() + stripe_at + 1);
   }
   const size_t blob_size = blob->size() - blob_at;
 
@@ -784,8 +744,8 @@ void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_code
   }
   uint8_t* header = out->data() + header_at;
   header[0] = static_cast<uint8_t>(used);
-  Store32(static_cast<uint32_t>(blob_size), header + 1);
-  Store32(static_cast<uint32_t>(out->size() - header_at - kV3ChunkHeader), header + 5);
+  wire::Store32(static_cast<uint32_t>(blob_size), header + 1);
+  wire::Store32(static_cast<uint32_t>(out->size() - header_at - kV3ChunkHeader), header + 5);
   if (zone != nullptr) {
     *zone = z;
   }
@@ -799,8 +759,8 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
     return ChunkParse::kTruncated;
   }
   const uint8_t block_id = data[0];
-  const uint32_t raw_bytes = Get32(data + 1);
-  const uint32_t stored_bytes = Get32(data + 5);
+  const uint32_t raw_bytes = wire::Get32(data + 1);
+  const uint32_t stored_bytes = wire::Get32(data + 5);
   if (kV3ChunkHeader + uint64_t{stored_bytes} > size) {
     return ChunkParse::kTruncated;
   }
@@ -832,7 +792,7 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
       return ChunkParse::kTruncated;
     }
     const uint8_t stripe_codec = p[0];
-    const uint32_t stripe_len = Get32(p + 1);
+    const uint32_t stripe_len = wire::Get32(p + 1);
     p += 5;
     if (stripe_codec > kMaxStripeCodec) {
       return ChunkParse::kCodec;

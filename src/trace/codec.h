@@ -193,6 +193,10 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
                          bool recycle_rows = false,
                          uint64_t callsite_count = uint64_t{1} << 32);
 
+// Appends the binary encoding of each of `records` to `out`: the rows are
+// sized once and their fields stored in place.
+void EncodeRecords(std::span<const TraceRecord> records, std::vector<uint8_t>* out);
+
 // Appends the binary encoding of `record` to `out`.
 void EncodeRecord(const TraceRecord& record, std::vector<uint8_t>* out);
 

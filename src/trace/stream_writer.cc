@@ -12,10 +12,11 @@ TraceStreamWriter::TraceStreamWriter(std::string path,
     : path_(std::move(path)),
       spill_path_(path_ + ".spill"),
       callsites_(callsites),
-      version_(options.version),
-      capacity_(options.chunk_records > 0 ? options.chunk_records : 1),
-      block_codec_(options.block_codec) {
-  if (version_ != kTraceFileVersionChunked && version_ != kTraceFileVersionColumnar) {
+      options_(options),
+      capacity_(options.chunk_records > 0 ? options.chunk_records : 1) {
+  if ((options_.version != kTraceFileVersionChunked &&
+       options_.version != kTraceFileVersionColumnar) ||
+      capacity_ > kMaxChunkRecords) {
     ok_ = false;
     return;
   }
@@ -24,11 +25,7 @@ TraceStreamWriter::TraceStreamWriter(std::string path,
     ok_ = false;
     return;
   }
-  if (version_ == kTraceFileVersionColumnar) {
-    pending_.reserve(capacity_);
-  } else {
-    chunk_.reserve(static_cast<size_t>(capacity_) * kEncodedRecordSize);
-  }
+  pending_.reserve(capacity_);
 }
 
 TraceStreamWriter::~TraceStreamWriter() { Close(); }
@@ -37,41 +34,27 @@ bool TraceStreamWriter::Append(const TraceRecord& record) {
   if (!ok_ || closed_) {
     return false;
   }
-  if (version_ == kTraceFileVersionColumnar) {
-    pending_.push_back(record);
-  } else {
-    EncodeRecord(record, &chunk_);
-  }
-  ++chunk_records_;
+  pending_.push_back(record);
   ++records_;
-  if (chunk_records_ == capacity_) {
+  if (pending_.size() == capacity_) {
     FlushChunk();
   }
   return ok_;
 }
 
 void TraceStreamWriter::FlushChunk() {
-  if (chunk_records_ == 0) {
+  if (pending_.empty()) {
     return;
   }
-  TraceChunkRef entry;
-  entry.offset = spill_bytes_;
-  entry.records = chunk_records_;
-  if (version_ == kTraceFileVersionColumnar) {
-    chunk_.clear();
-    EncodeV3Chunk(std::span<const TraceRecord>(pending_.data(), pending_.size()),
-                  block_codec_, &encode_scratch_, &chunk_, &entry.zone);
-    pending_.clear();
-  }
-  entry.stored_bytes = chunk_.size();
-  index_.push_back(entry);
+  chunk_.clear();
+  index_.push_back(
+      EncodeTraceChunk(pending_, options_, spill_bytes_, &encode_scratch_, &chunk_));
+  pending_.clear();
   if (std::fwrite(chunk_.data(), 1, chunk_.size(), spill_) != chunk_.size()) {
     FailAndCleanup();
     return;
   }
   spill_bytes_ += chunk_.size();
-  chunk_.clear();
-  chunk_records_ = 0;
 }
 
 bool TraceStreamWriter::Close() {
@@ -90,7 +73,7 @@ bool TraceStreamWriter::Close() {
 
   // Everything that precedes the chunks in the chunked layouts is now known.
   std::vector<uint8_t> header;
-  PutTraceHeader(version_, *callsites_, records_, capacity_, &header);
+  PutTraceHeader(options_.version, *callsites_, records_, capacity_, &header);
 
   // The chunk offsets are spill-relative until rebased past the header —
   // this is what makes the result byte-identical to SerializeTrace.
@@ -98,7 +81,7 @@ bool TraceStreamWriter::Close() {
     entry.offset += header.size();
   }
   std::vector<uint8_t> footer;
-  PutTraceIndex(version_, index_, header.size() + spill_bytes_, &footer);
+  PutTraceIndex(options_.version, index_, header.size() + spill_bytes_, &footer);
 
   bool ok = std::fclose(spill_) == 0;
   spill_ = nullptr;

@@ -15,9 +15,11 @@
 // streams chunks to a spill file (`path` + ".spill") and assembles the
 // final file at Close(): header, spill contents copied through a small
 // buffer, then the index footer with offsets rebased past the header. Peak
-// memory is one open chunk regardless of trace length — for v3, the open
-// chunk's records stay unencoded until the chunk fills, because the
-// columnar codec needs the whole column to pick stripe encodings.
+// memory is one open chunk regardless of trace length. The open chunk's
+// records stay unencoded until it fills, for v2 as for v3, and then go
+// through EncodeTraceChunk, the chunk encoder SerializeTrace and
+// WriteTraceFile call: the columnar codec needs the whole column to pick
+// stripe encodings, and v2 rows are sized once and stored in place.
 //
 // Single-threaded: all calls must come from one thread (the drainer).
 
@@ -40,7 +42,9 @@ class TraceStreamWriter {
   // Starts a streamed v2 or v3 trace at `path`. The registry is read at
   // Close(), so call sites may still be interned while recording; it must
   // outlive the writer. `options.version` must be a chunked version (v1
-  // has no index and gains nothing from streaming).
+  // has no index and gains nothing from streaming), and
+  // `options.chunk_records` at most kMaxChunkRecords; otherwise ok() is
+  // false from the start.
   TraceStreamWriter(std::string path, const CallsiteRegistry* callsites,
                     const TraceWriteOptions& options = {});
   ~TraceStreamWriter();
@@ -66,15 +70,13 @@ class TraceStreamWriter {
   std::string path_;
   std::string spill_path_;
   const CallsiteRegistry* callsites_;
-  uint32_t version_;
-  uint32_t capacity_;
-  BlockCodecId block_codec_;
+  TraceWriteOptions options_;
+  uint32_t capacity_;  // records per full chunk
 
   std::FILE* spill_ = nullptr;
-  std::vector<uint8_t> chunk_;           // encoded bytes of the open chunk (v2)
-  std::vector<TraceRecord> pending_;     // unencoded records of the open chunk (v3)
+  std::vector<TraceRecord> pending_;     // unencoded records of the open chunk
+  std::vector<uint8_t> chunk_;           // encoded bytes of the chunk being flushed
   V3EncodeScratch encode_scratch_;       // v3 columns and dictionary, reused per chunk
-  uint32_t chunk_records_ = 0;           // records in the open chunk
   uint64_t spill_bytes_ = 0;             // bytes already flushed to the spill
   std::vector<TraceChunkRef> index_;     // offsets spill-relative until Close
   uint64_t records_ = 0;

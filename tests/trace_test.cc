@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/sim/cpu.h"
 #include "src/trace/buffer.h"
 #include "src/trace/callsite.h"
@@ -373,6 +376,58 @@ INSTANTIATE_TEST_SUITE_P(AllOps, CodecRoundTripTest,
                          ::testing::Values(TimerOp::kInit, TimerOp::kSet, TimerOp::kCancel,
                                            TimerOp::kExpire, TimerOp::kBlock,
                                            TimerOp::kUnblock));
+
+// The 48 row bytes of one extreme record, so the field order and widths of
+// the v1/v2 row store cannot drift: distinct bytes in every wide field,
+// negative pid and tid, an expiry whose quantised value needs the high
+// byte, and every flag bit set.
+TEST(CodecTest, RowBytesArePinned) {
+  TraceRecord r;
+  r.timestamp = 0x0102030405060708;
+  r.timer = 0x1112131415161718;
+  r.timeout = 0x2122232425262728;
+  r.expiry = (SimTime{0xABCDEF0123} << 10) | 0x3FF;  // the low 10 bits quantise away
+  r.callsite = 0x31323334;
+  r.stack = 0x41424344;
+  r.pid = -2;
+  r.tid = -300;
+  r.op = TimerOp::kUnblock;
+  r.flags = 0xFFFF;
+
+  std::vector<uint8_t> bytes;
+  EncodeRecord(r, &bytes);
+  const std::vector<uint8_t> expected = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // timestamp
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // timer
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,  // timeout
+      0x23, 0x01, 0xEF, 0xCD,                          // expiry / 1024, low 32 bits
+      0x34, 0x33, 0x32, 0x31,                          // callsite
+      0x44, 0x43, 0x42, 0x41,                          // stack
+      0xFE, 0xFF,                                      // pid -2
+      0xD4, 0xFE,                                      // tid -300
+      0x05,                                            // op kUnblock
+      0xAB,                                            // expiry / 1024, bits 32..39
+      0xFF, 0xFF,                                      // flags
+      0x00, 0x00, 0x00, 0x00,                          // reserved
+  };
+  EXPECT_EQ(bytes, expected);
+
+  const auto decoded = DecodeRecord(bytes.data());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->pid, -2);
+  EXPECT_EQ(decoded->tid, -300);
+  EXPECT_EQ(decoded->expiry, SimTime{0xABCDEF0123} << 10);
+  EXPECT_EQ(decoded->flags, 0xFFFF);
+
+  // EncodeRecords stores the same row for each record it is given.
+  std::vector<uint8_t> rows = {0x5A};
+  const TraceRecord pair[] = {r, r};
+  EncodeRecords(pair, &rows);
+  ASSERT_EQ(rows.size(), 1 + 2 * kEncodedRecordSize);
+  EXPECT_EQ(rows[0], 0x5A);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), rows.begin() + 1));
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), rows.begin() + 49));
+}
 
 TEST(CodecTest, FormatRecordMentionsOpAndCallsite) {
   CallsiteRegistry registry;

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
       {"v2", 0, "", "write the chunked v2 format (the default)"},
       {"v3", 0, "", "write the columnar v3 format"},
       {"compress", 0, "", "v3 only: block-compress chunks (TempoLz)"},
-      {"chunk-records", 1, "N", "records per v2/v3 chunk (default 65536)"},
-      {"stream", 0, "", "write chunks incrementally (streaming writer, v2/v3)"},
+      {"chunk-records", 1, "N", "records per v2/v3 chunk (default 65536, max 1048576)"},
+      {"stream", 0, "", "append records one at a time (streaming writer, v2/v3)"},
       {"format", 1, "text|json", "report format (default text)"},
   };
   const tools::ParsedArgs args = tools::ParseArgs(argc, argv, kFlags);
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     write_options.version = kTraceFileVersionColumnar;
   }
   write_options.chunk_records = static_cast<uint32_t>(
-      args.UintValue("chunk-records", kDefaultChunkRecords, 0, UINT32_MAX));
+      args.UintValue("chunk-records", kDefaultChunkRecords, 0, kMaxChunkRecords));
   if (args.Has("compress")) {
     if (write_options.version != kTraceFileVersionColumnar) {
       std::fprintf(stderr, "error: --compress requires --v3\n");
@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
   const std::string& output = positionals[1];
   if (args.Has("stream")) {
     // Record-at-a-time through the streaming writer: the output is
-    // byte-identical to the buffered WriteTraceFile path (pinned by the
-    // tools_stream_identical ctests), without building the whole file
+    // byte-identical to the WriteTraceFile path (pinned by the
+    // tools_stream_identical ctests), and neither builds the whole file
     // image in memory. The records themselves are all in run.records: the
     // workload has finished before the first one is written.
     TraceStreamWriter writer(output, &run.callsites(), write_options);
