@@ -194,5 +194,10 @@ void PrintTraceReadError(const std::string& path, TraceReadError error) {
                TraceReadErrorName(error));
 }
 
+uint64_t VirtualCycleClock() {
+  static uint64_t cycles = 0;
+  return ++cycles;
+}
+
 }  // namespace tools
 }  // namespace tempo

@@ -42,12 +42,6 @@
 namespace tempo {
 namespace {
 
-// Deterministic probe clock: advances one "cycle" per read, so a probed
-// region's cost equals the number of probe-clock reads it contains —
-// stable across machines and runs.
-uint64_t g_virtual_cycles = 0;
-uint64_t VirtualCycleClock() { return ++g_virtual_cycles; }
-
 // Exercises one timer-queue implementation with a set/cancel/expire mix
 // echoing the paper's headline shape: most timers are canceled, not fired.
 void DriveQueue(const std::string& name, uint64_t seed) {
@@ -175,7 +169,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.Has("wall")) {
-    obs::SetProbeClock(&VirtualCycleClock);
+    obs::SetProbeClock(&tools::VirtualCycleClock);
   }
 
   WorkloadOptions options;
