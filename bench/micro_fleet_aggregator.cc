@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/fleet/aggregator.h"
@@ -162,6 +163,8 @@ int main() {
     std::fprintf(json, "  \"rounds\": %llu,\n",
                  static_cast<unsigned long long>(rounds));
     std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
+    std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(json, "  \"publish_period_s\": %.1f,\n", ToSeconds(kPublishPeriod));
     std::fprintf(json, "  \"bytes_per_frame\": %.0f,\n",
                  static_cast<double>(bytes) / static_cast<double>(frames));

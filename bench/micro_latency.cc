@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/latency.h"
@@ -171,6 +172,8 @@ int main() {
     std::fprintf(json, "  \"bench\": \"micro_latency\",\n");
     std::fprintf(json, "  \"records\": %zu,\n", record_count);
     std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
+    std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(json, "  \"drain_cycles_per_record\": %.1f,\n", base_cycles);
     std::fprintf(json, "  \"tracked_cycles_per_record\": %.1f,\n", tracked_cycles);
     std::fprintf(json, "  \"tracker_cycles_per_record\": %.1f,\n", delta);

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/analysis/rates.h"
@@ -161,6 +162,8 @@ int main() {
     std::fprintf(json, "  \"bench\": \"micro_live_overhead\",\n");
     std::fprintf(json, "  \"records\": %zu,\n", record_count);
     std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
+    std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(json, "  \"drain_cycles_per_record\": %.1f,\n", base_cycles);
     std::fprintf(json, "  \"live_cycles_per_record\": %.1f,\n", live_cycles);
     std::fprintf(json, "  \"analyzer_cycles_per_record\": %.1f,\n", delta);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/obs/probe.h"
@@ -156,6 +157,7 @@ int main(int argc, char** argv) {
                  "  \"experiment\": \"micro_metrics_overhead\",\n"
                  "  \"paper_cycles_per_record\": 236,\n"
                  "  \"iterations\": %llu,\n"
+                 "  \"hardware_concurrency\": %u,\n"
                  "  \"cycles_per_counter_inc\": %.2f,\n"
                  "  \"cycles_per_histogram_record\": %.2f,\n"
                  "  \"cycles_per_probe_enabled\": %.2f,\n"
@@ -163,7 +165,8 @@ int main(int argc, char** argv) {
                  "  \"cycles_per_probe_compiled_out\": %.2f,\n"
                  "  \"disabled_under_10_cycles\": %s\n"
                  "}\n",
-                 static_cast<unsigned long long>(kIterations), counter_cycles,
+                 static_cast<unsigned long long>(kIterations),
+                 std::thread::hardware_concurrency(), counter_cycles,
                  record_cycles, probe_enabled_cycles, probe_disabled_cycles,
                  probe_compiled_out_cycles, disabled_ok ? "true" : "false");
     std::fclose(out);
