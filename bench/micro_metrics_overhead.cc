@@ -6,8 +6,11 @@
 // increment, per histogram record, and per ScopedProbe in all three
 // states — enabled, runtime-disabled, and compiled out — over 1M-iteration
 // TSC-timed loops (plus google-benchmark timings for cross-checking).
-// Results land in BENCH_metrics.json; the acceptance bar is <10 cycles per
-// disabled probe.
+// An enabled probe times about one call in 64, so its figure is what a
+// probe site pays per call on average; the cost of one timed call (two
+// ordered clock reads and a histogram record) is reported beside it.
+// Results land in BENCH_metrics.json. The acceptance bars are <10 cycles
+// per disabled probe and <24 per enabled one, a tenth of the paper's 236.
 
 #include <benchmark/benchmark.h>
 
@@ -132,6 +135,12 @@ int main(int argc, char** argv) {
   obs::SetProbesEnabled(true);
   const double probe_enabled_cycles =
       CyclesPerOp([&](uint64_t) { obs::ScopedProbe probe(hist); }, kIterations);
+  const double probe_timed_cycles = CyclesPerOp(
+      [&](uint64_t) {
+        const uint64_t start = obs::ProbeClockNow();
+        hist->Record(obs::ProbeClockNow() - start);
+      },
+      kIterations);
   obs::SetProbesEnabled(false);
   const double probe_disabled_cycles =
       CyclesPerOp([&](uint64_t) { obs::ScopedProbe probe(hist); }, kIterations);
@@ -144,11 +153,15 @@ int main(int argc, char** argv) {
   std::printf("  counter inc           %8.2f\n", counter_cycles);
   std::printf("  histogram record      %8.2f\n", record_cycles);
   std::printf("  scoped probe enabled  %8.2f\n", probe_enabled_cycles);
+  std::printf("  one timed probe call  %8.2f\n", probe_timed_cycles);
   std::printf("  scoped probe disabled %8.2f\n", probe_disabled_cycles);
   std::printf("  scoped probe compiled out %4.2f\n", probe_compiled_out_cycles);
 
   const bool disabled_ok = probe_disabled_cycles < 10.0;
   std::printf("disabled path < 10 cycles: %s\n", disabled_ok ? "PASS" : "FAIL");
+  constexpr double kEnabledBudget = 24.0;  // a tenth of the paper's 236
+  const bool enabled_ok = probe_enabled_cycles < kEnabledBudget;
+  std::printf("enabled path < %.0f cycles: %s\n", kEnabledBudget, enabled_ok ? "PASS" : "FAIL");
 
   FILE* out = std::fopen("BENCH_metrics.json", "w");
   if (out != nullptr) {
@@ -161,16 +174,21 @@ int main(int argc, char** argv) {
                  "  \"cycles_per_counter_inc\": %.2f,\n"
                  "  \"cycles_per_histogram_record\": %.2f,\n"
                  "  \"cycles_per_probe_enabled\": %.2f,\n"
+                 "  \"cycles_per_probe_timed\": %.2f,\n"
                  "  \"cycles_per_probe_disabled\": %.2f,\n"
                  "  \"cycles_per_probe_compiled_out\": %.2f,\n"
-                 "  \"disabled_under_10_cycles\": %s\n"
+                 "  \"disabled_under_10_cycles\": %s,\n"
+                 "  \"gate_enabled_under_24_cycles\": {\"threshold\": %.0f, "
+                 "\"cycles\": %.2f, \"status\": \"%s\"}\n"
                  "}\n",
                  static_cast<unsigned long long>(kIterations),
                  std::thread::hardware_concurrency(), counter_cycles,
-                 record_cycles, probe_enabled_cycles, probe_disabled_cycles,
-                 probe_compiled_out_cycles, disabled_ok ? "true" : "false");
+                 record_cycles, probe_enabled_cycles, probe_timed_cycles,
+                 probe_disabled_cycles, probe_compiled_out_cycles,
+                 disabled_ok ? "true" : "false", kEnabledBudget, probe_enabled_cycles,
+                 enabled_ok ? "pass" : "fail");
     std::fclose(out);
     std::printf("wrote BENCH_metrics.json\n");
   }
-  return disabled_ok ? 0 : 1;
+  return disabled_ok && enabled_ok ? 0 : 1;
 }

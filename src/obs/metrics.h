@@ -88,9 +88,31 @@ class Gauge {
 // allocation; quantiles are recovered by linear interpolation inside the
 // winning bucket, which is exact to a factor of 2 — ample for latency
 // work spanning nanoseconds to minutes.
+//
+// Record() records every value it is given. A histogram also carries the
+// call sampler that ScopedProbe (probe.h) consults, so a probed histogram
+// holds about one call in kProbeSampleEvery.
 class Histogram {
  public:
   static constexpr size_t kBucketCount = 64;
+  // Mean number of probe calls per timed call.
+  static constexpr uint64_t kProbeSampleEvery = 64;
+
+  // Whether the probe call being made now is one to time. The first call
+  // on a fresh (or Reset) histogram is timed; after each timed call the
+  // number of calls to skip is drawn uniformly from
+  // [0, 2 * kProbeSampleEvery - 2] by a fixed-seed generator, so the same
+  // call sequence always times the same calls, and a periodic call
+  // pattern (a wheel that cascades every 256th tick) cannot phase-lock
+  // with the sample the way a fixed 1-in-N counter would.
+  bool SampleCall() {
+    if (skip_ != 0) {
+      --skip_;
+      return false;
+    }
+    skip_ = NextSkip();
+    return true;
+  }
 
   void Record(uint64_t sample) {
     ++buckets_[BucketIndex(sample)];
@@ -136,8 +158,24 @@ class Histogram {
   void Reset() {
     buckets_.fill(0);
     count_ = sum_ = min_ = max_ = 0;
+    skip_ = 0;
+    sampler_state_ = kSamplerSeed;
   }
 
+  // splitmix64 (Steele, Lea and Flood): one step per timed call. The high
+  // 32 bits are scaled onto [0, 2 * kProbeSampleEvery - 2].
+  uint32_t NextSkip() {
+    uint64_t z = (sampler_state_ += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return static_cast<uint32_t>(((z >> 32) * (2 * kProbeSampleEvery - 1)) >> 32);
+  }
+
+  static constexpr uint64_t kSamplerSeed = 0x74656D706F;  // "tempo" in ASCII
+
+  uint32_t skip_ = 0;  // probe calls left to pass over before the next timed one
+  uint64_t sampler_state_ = kSamplerSeed;
   std::array<uint64_t, kBucketCount> buckets_{};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;

@@ -135,7 +135,9 @@ class TimerQueue {
 };
 
 // Self-metrics bundle shared by every timer-queue implementation: op
-// counters and op-latency histograms labelled by implementation name.
+// counters, which count every call, and op-latency histograms, which the
+// probes fill from a sample of about one call in 64 (obs/probe.h), all
+// labelled by implementation name.
 // Instances of the same implementation share instruments (the registry
 // aggregates per label set); pointers are resolved once, at queue
 // construction, so the hot paths never do a name lookup.

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -193,6 +194,163 @@ TEST_F(ObsTest, DisabledProbesRecordNothing) {
 
 TEST_F(ObsTest, NullHistogramProbeIsSafe) {
   obs::ScopedProbe probe(nullptr);  // e.g. a kind-mismatched Get
+}
+
+// --- Probe sampling ---
+
+// Calls a fresh histogram's sampler `calls` times and counts the timed
+// calls: what `calls` probes on a fresh histogram must record.
+uint64_t TimedCallsOfFreshHistogram(uint64_t calls) {
+  Registry reg;
+  Histogram* replay = reg.GetHistogram("replay");
+  uint64_t timed = 0;
+  for (uint64_t i = 0; i < calls; ++i) {
+    timed += replay->SampleCall() ? 1 : 0;
+  }
+  return timed;
+}
+
+TEST_F(ObsTest, ProbesTimeAboutOneCallIn64AndQueuesCountEveryCall) {
+  obs::SetProbeClock(&TestClock);
+  constexpr uint64_t kCalls = 64 * 1000;
+  const uint64_t expected = TimedCallsOfFreshHistogram(kCalls);
+  EXPECT_GE(expected, kCalls / Histogram::kProbeSampleEvery * 9 / 10);
+  EXPECT_LE(expected, kCalls / Histogram::kProbeSampleEvery * 11 / 10);
+
+  Registry reg;
+  Histogram* h = reg.GetHistogram("probe");
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    obs::ScopedProbe probe(h);
+  }
+  EXPECT_EQ(h->count(), expected);
+  EXPECT_EQ(h->sum(), expected * 10);  // every timed call read the clock twice
+
+  for (const std::string& name : TimerQueueNames()) {
+    Registry::Global().Reset();
+    TimerQueueOptions queue_options;
+    queue_options.name = name;
+    auto queue = MakeTimerQueue(queue_options);
+    std::vector<TimerHandle> handles;
+    for (uint64_t i = 0; i < kCalls; ++i) {
+      handles.push_back(queue->Schedule(static_cast<SimDuration>(i + 1) * kMillisecond,
+                                        [](TimerHandle) {}));
+    }
+    for (const TimerHandle handle : handles) {
+      queue->Cancel(handle);
+    }
+    const obs::MetricsSnapshot snap = Registry::Global().TakeSnapshot();
+    for (const char* op : {"set", "cancel"}) {
+      const obs::SnapshotEntry* ops = snap.Find("timer_ops", {{"op", op}, {"queue", name}});
+      const obs::SnapshotEntry* cycles =
+          snap.Find("timer_op_cycles", {{"op", op}, {"queue", name}});
+      ASSERT_NE(ops, nullptr) << name << " " << op;
+      ASSERT_NE(cycles, nullptr) << name << " " << op;
+      EXPECT_EQ(ops->value, static_cast<int64_t>(kCalls)) << name << " " << op;
+      EXPECT_EQ(cycles->count, expected) << name << " " << op;
+    }
+  }
+}
+
+TEST_F(ObsTest, FreshHistogramsTimeTheSameCalls) {
+  obs::SetProbeClock(&TestClock);
+  Registry reg;
+  Histogram* a = reg.GetHistogram("a");
+  Histogram* b = reg.GetHistogram("b");
+  Histogram* reset = reg.GetHistogram("reset");
+  for (int i = 0; i < 1000; ++i) {
+    obs::ScopedProbe probe(reset);  // moves its sampler away from the start
+  }
+  reg.Reset();
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t cycles_before = g_test_cycles;
+    {
+      obs::ScopedProbe probe(a);
+    }
+    const bool a_timed = g_test_cycles != cycles_before;
+    {
+      obs::ScopedProbe probe(b);
+    }
+    const bool b_timed = g_test_cycles != cycles_before + (a_timed ? 20 : 0);
+    ASSERT_EQ(a_timed, b_timed) << "call " << i;
+    ASSERT_EQ(reset->SampleCall(), a_timed) << "call " << i;  // Reset restarts the sampler
+  }
+  EXPECT_EQ(a->count(), b->count());
+  EXPECT_GT(a->count(), 0u);
+}
+
+TEST_F(ObsTest, DisabledProbesLeaveTheSamplerWhereItWas) {
+  obs::SetProbeClock(&TestClock);
+  Registry reg;
+  Histogram* h = reg.GetHistogram("probe");
+  obs::SetProbesEnabled(false);
+  for (int i = 0; i < 100; ++i) {
+    obs::ScopedProbe probe(h);
+  }
+  obs::SetProbesEnabled(true);
+  {
+    obs::ScopedProbe probe(h);  // still the histogram's first call
+  }
+  EXPECT_EQ(h->count(), 1u);
+}
+
+// A probe clock scripted per call: a timed probe's start read returns the
+// current time and its end read returns that time plus g_script_cycles.
+uint64_t g_script_now = 0;
+uint64_t g_script_cycles = 0;
+bool g_script_started = false;
+uint64_t ScriptedClock() {
+  g_script_started = !g_script_started;
+  if (!g_script_started) {
+    g_script_now += g_script_cycles;
+  }
+  return g_script_now;
+}
+
+// Feeds `cycles` through probes on one histogram and records every value
+// into another, then checks that the sample's p50 and p99 fall within one
+// log2 bucket of the full record's.
+void ExpectSampledQuantilesTrackEveryCall(const std::vector<uint64_t>& cycles) {
+  obs::SetProbeClock(&ScriptedClock);
+  Registry reg;
+  Histogram* sampled = reg.GetHistogram("sampled");
+  Histogram* every = reg.GetHistogram("every");
+  for (const uint64_t c : cycles) {
+    g_script_cycles = c;
+    {
+      obs::ScopedProbe probe(sampled);
+    }
+    every->Record(c);
+  }
+  ASSERT_EQ(every->count(), cycles.size());
+  ASSERT_LT(sampled->count(), cycles.size() / 32);
+  for (const double q : {0.5, 0.99}) {
+    const size_t sampled_bucket =
+        Histogram::BucketIndex(static_cast<uint64_t>(sampled->Quantile(q)));
+    const size_t every_bucket =
+        Histogram::BucketIndex(static_cast<uint64_t>(every->Quantile(q)));
+    EXPECT_LE(sampled_bucket, every_bucket + 1) << "q=" << q;
+    EXPECT_GE(sampled_bucket + 1, every_bucket) << "q=" << q;
+  }
+}
+
+TEST_F(ObsTest, SampledQuantilesTrackARandomStream) {
+  std::mt19937_64 rng(2008);
+  std::vector<uint64_t> cycles;
+  for (int i = 0; i < 64 * 4096; ++i) {
+    // Mostly 64-512 cycles, with a tail of one call in ten up to 64k.
+    cycles.push_back(rng() % 10 == 0 ? 512 + rng() % 65536 : 64 + rng() % 448);
+  }
+  ExpectSampledQuantilesTrackEveryCall(cycles);
+}
+
+TEST_F(ObsTest, SampledQuantilesTrackAStreamWithEvery64thCallSlow) {
+  // A fixed 1-in-64 counter always lands on the same phase of this
+  // pattern, so it times either no slow call or only slow ones.
+  std::vector<uint64_t> cycles;
+  for (int i = 0; i < 64 * 4096; ++i) {
+    cycles.push_back(i % 64 == 63 ? 8000 : 100);
+  }
+  ExpectSampledQuantilesTrackEveryCall(cycles);
 }
 
 // --- Renderer escaping ---
