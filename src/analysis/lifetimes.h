@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/oslinux/jiffies.h"
+#include "src/sim/time.h"
 #include "src/trace/record.h"
 
 namespace tempo {
@@ -54,8 +55,13 @@ struct Episode {
   uint16_t flags = 0;  // flags of the arming record
 
   bool user() const { return (flags & kFlagUser) != 0; }
-  // Duration the timer actually ran before ending.
-  SimDuration held() const { return end_time - set_time; }
+  // Duration the timer actually ran before ending, clamped to the
+  // SimDuration range: decoded times may lie anywhere in int64_t.
+  SimDuration held() const {
+    const auto span = static_cast<SimDuration>(
+        std::min<uint64_t>(Distance(end_time, set_time), INT64_MAX));
+    return end_time >= set_time ? span : -span;
+  }
   // Fraction of the requested timeout that elapsed before the episode
   // ended; > 1 for late deliveries. Returns 0 for non-positive timeouts.
   double fraction() const {

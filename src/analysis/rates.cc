@@ -5,6 +5,7 @@
 
 #include "src/analysis/lifetimes.h"
 #include "src/analysis/render.h"
+#include "src/sim/time.h"
 
 namespace tempo {
 
@@ -58,7 +59,7 @@ void RatesPass::Accumulate(std::span<const TraceRecord> records) {
     if (series == nullptr) {
       continue;
     }
-    series->Add(static_cast<uint64_t>((r.timestamp - options_.start) / options_.window), 1);
+    series->Add(Distance(r.timestamp, options_.start) / static_cast<uint64_t>(options_.window), 1);
     series->at_end.Add(max_ts_);  // r.timestamp == max_ts_ here; may yet be superseded
   }
 }
@@ -83,9 +84,12 @@ std::vector<RateSeries> RatesPass::Result() const {
   if (end <= options_.start || options_.window <= 0) {
     return {};
   }
-  const size_t window_count = static_cast<size_t>(
-      (end - options_.start + options_.window - 1) / options_.window);
-  const uint64_t end_window = static_cast<uint64_t>((end - options_.start) / options_.window);
+  // end > start, so the span is exact as a Distance even where end - start
+  // would overflow; round it up to whole windows without adding.
+  const uint64_t span = Distance(end, options_.start);
+  const auto width = static_cast<uint64_t>(options_.window);
+  const uint64_t end_window = span / width;
+  const size_t window_count = static_cast<size_t>(end_window + (span % width != 0 ? 1 : 0));
 
   std::vector<RateSeries> out;
   for (const auto& [label, series] : series_) {

@@ -135,6 +135,24 @@ TEST(LifetimesTest, BlockUnblockBecomesEpisode) {
   EXPECT_EQ(episodes[0].end, EpisodeEnd::kCanceled);  // satisfied = not a timeout
 }
 
+TEST(LifetimesTest, HeldSaturatesAtExtremeTimes) {
+  // A decoded trace can set a timer near INT64_MIN and end it near
+  // INT64_MAX; the time it was held is wider than SimDuration and clamps.
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  Episode e;
+  e.set_time = kMin + 1;
+  e.end_time = kMax - 1;
+  e.timeout = kSecond;
+  e.end = EpisodeEnd::kExpired;
+  EXPECT_EQ(e.held(), kMax);
+  EXPECT_GT(e.fraction(), 1.0);
+  std::swap(e.set_time, e.end_time);
+  EXPECT_EQ(e.held(), -kMax);
+  e.end_time = e.set_time;
+  EXPECT_EQ(e.held(), 0);
+}
+
 TEST(LifetimesTest, DynamicTimersClusterByCallsite) {
   // Two dynamic-alloc episodes with different timer ids but the same
   // call-site/thread must share a cluster key (Vista semantics).
@@ -561,6 +579,33 @@ TEST(RatesTest, GroupsByPidLabels) {
       EXPECT_EQ(s.per_window[0], 1u);
     }
   }
+}
+
+TEST(RatesTest, ExtremeTimesKeepTheWindowCount) {
+  // A record at INT64_MAX - 1 with 2^62 ns windows: the range [0, INT64_MAX
+  // - 1) spans two windows, and rounding it up must not add past int64_t.
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  TraceBuilder b;
+  b.At(0).Set(1, 0, kFlagUser, kUnknownCallsite, 1);
+  b.At(kMax - 1).Set(1, 0, kFlagUser, kUnknownCallsite, 1);
+  RateGrouping grouping;
+  RateOptions options;
+  options.window = SimDuration{1} << 62;
+  RatesPass pass(grouping, options);
+  pass.Accumulate(b.records());
+  auto series = pass.Result();
+  ASSERT_EQ(series.size(), 1u);
+  // The last record marks the derived end and falls outside the range.
+  EXPECT_EQ(series[0].per_window, (std::vector<uint64_t>{1, 0}));
+
+  // From just above INT64_MIN the range is wider than int64_t: four windows.
+  options.start = kMin + 1;
+  RatesPass wide(grouping, options);
+  wide.Accumulate(b.records());
+  series = wide.Result();
+  ASSERT_EQ(series.size(), 1u);
+  EXPECT_EQ(series[0].per_window, (std::vector<uint64_t>{0, 1, 0, 0}));
 }
 
 TEST(RatesTest, EmptyLabelDropsRecords) {
