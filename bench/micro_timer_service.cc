@@ -256,17 +256,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool speedup_ok = true;
+  constexpr double kSpeedupBound = 10.0;
+  double min_speedup = next_results.empty() ? 0.0 : next_results.front().speedup;
   bool refresh_ok = true;
   for (const auto& r : next_results) {
-    if (r.speedup < 10.0) {
-      speedup_ok = false;
-    }
+    min_speedup = std::min(min_speedup, r.speedup);
     if (r.queue == "hierarchical_wheel" && r.refresh_ns * 10.0 > r.scan_ns) {
       refresh_ok = false;
     }
   }
-  std::printf("\ncached NextExpiry >= 10x reference scan: %s\n",
+  const bool speedup_ok = min_speedup >= kSpeedupBound;
+  std::printf("\ncached NextExpiry >= %.0fx reference scan: %s\n", kSpeedupBound,
               speedup_ok ? "PASS" : "FAIL");
   std::printf("hierarchical_wheel refresh <= reference scan / 10: %s\n",
               refresh_ok ? "PASS" : "FAIL");
@@ -286,8 +286,10 @@ int main(int argc, char** argv) {
                    r.queue.c_str(), r.population, r.scan_ns, r.refresh_ns, r.cached_ns,
                    r.speedup, i + 1 < next_results.size() ? "," : "");
     }
-    std::fprintf(out, "  ],\n  \"speedup_at_least_10x\": %s,\n",
-                 speedup_ok ? "true" : "false");
+    std::fprintf(out,
+                 "  ],\n  \"gate_speedup_at_least_10x\": {\"threshold\": %.0f, "
+                 "\"min_speedup\": %.1f, \"status\": \"%s\"},\n",
+                 kSpeedupBound, min_speedup, speedup_ok ? "pass" : "fail");
     std::fprintf(out, "  \"gate_refresh\": {\"status\": \"%s\"},\n",
                  refresh_ok ? "pass" : "fail");
     std::fprintf(out, "  \"throughput\": [\n");

@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "src/trace/wire.h"
 
@@ -43,6 +42,16 @@ TraceReadError ChunkParseError(ChunkParse parse) {
       return TraceReadError::kCodec;
   }
   return TraceReadError::kCorrupt;
+}
+
+// True when the index `zone` agrees with `seen`, the zone of the records
+// just decoded, in each field of `field_mask` a zone summarizes. A field a
+// projection skipped was not decoded, so its part goes unchecked.
+bool ZoneAgrees(const ChunkZone& zone, const ChunkZone& seen, uint16_t field_mask) {
+  return ((field_mask & kFieldTimestamp) == 0 || (seen.min_timestamp == zone.min_timestamp &&
+                                                  seen.max_timestamp == zone.max_timestamp)) &&
+         ((field_mask & kFieldPid) == 0 || seen.pid_digest == zone.pid_digest) &&
+         ((field_mask & kFieldOp) == 0 || seen.op_mask == zone.op_mask);
 }
 
 // The whole file behind `fd`: mapped read-only when the kernel allows it,
@@ -85,26 +94,13 @@ std::optional<TraceChunkReader> TraceChunkReader::Open(const std::string& path,
   if (fd < 0) {
     return Fail(TraceReadError::kIo, error);
   }
-  std::shared_ptr<const uint8_t> bytes;
+  TraceChunkReader reader;
   size_t size = 0;
-  bool mapped = false;
-  const bool loaded = LoadFile(fd, &bytes, &size, &mapped);
+  const bool loaded = LoadFile(fd, &reader.bytes_, &size, &reader.mapped_);
   ::close(fd);
   if (!loaded) {
     return Fail(TraceReadError::kIo, error);
   }
-  auto reader = Parse(std::move(bytes), size, error);
-  if (reader.has_value()) {
-    reader->path_ = path;
-    reader->mapped_ = mapped;
-  }
-  return reader;
-}
-
-std::optional<TraceChunkReader> TraceChunkReader::Parse(std::shared_ptr<const uint8_t> bytes,
-                                                        size_t size, TraceReadError* error) {
-  TraceChunkReader reader;
-  reader.bytes_ = std::move(bytes);
   wire::Reader parse(reader.bytes_.get(), size);
 
   const uint8_t* magic = parse.Raw(kMagicSize);
@@ -150,9 +146,9 @@ std::optional<TraceChunkReader> TraceChunkReader::Parse(std::shared_ptr<const ui
   };
   if (version == kTraceFileVersionColumnar) {
     // A compressed chunk's size does not bound its record count the way
-    // fixed-width rows do, and the loaders size their buffers from that
-    // count. No real v3 file packs more than 64 records into a byte, so a
-    // larger count is a file cut short of the records it declares.
+    // fixed-width rows do. No real v3 file packs more than 64 records into
+    // a byte, so a larger count is a file cut short of the records it
+    // declares.
     if (records > size * 64) {
       return Fail(TraceReadError::kTruncated, error);
     }
@@ -266,13 +262,19 @@ std::span<const TraceRecord> TraceChunkReader::Cursor::Read(size_t index,
     }
     // Consumers resolve call-site names through the file's table, so an id
     // past its end fails the chunk rather than index past the registry.
+    ChunkZone seen;
     const ChunkParse parse = DecodeV3Chunk(bytes, static_cast<size_t>(chunk.stored_bytes),
                                            chunk.records, &scratch_, &decoded_, field_mask,
-                                           recycle, reader_->callsites_.size());
+                                           recycle, reader_->callsites_.size(), &seen);
     if (parse != ChunkParse::kOk) {
       return Fail(ChunkParseError(parse));
     }
     last_mask_ = field_mask;
+    // Pushdown skips chunks by their index zone, so a zone that disagrees
+    // with the records just decoded makes the file corrupt.
+    if (!ZoneAgrees(chunk.zone, seen, field_mask)) {
+      return Fail(TraceReadError::kCorrupt);
+    }
     // Stacks are not persisted, so decoded records must surface the
     // in-memory "no stack" id. An unprojected stack field is already
     // default-initialised to it — skipping the pass over the records

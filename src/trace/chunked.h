@@ -12,8 +12,10 @@
 // arithmetically and serves them the same way. Consumers therefore never
 // care which version is on disk. v3 index entries additionally carry each
 // chunk's zone map (TraceChunkRef::zone), which predicate-carrying
-// consumers use to skip chunks without decoding them. ReadTraceFile and
-// DeserializeTrace (file.h) collect every chunk through this reader.
+// consumers use to skip chunks without decoding them. A cursor is the only
+// way to read a trace file's records: every tool, the analysis pipeline
+// and the tests sweep one, so every reader gives the same answer for the
+// same bytes.
 //
 // Damage: a file that ends before its declared layout does is kTruncated,
 // and so is a v3 file that declares more than 64 records per byte of file
@@ -21,8 +23,10 @@
 // is kCorrupt: a chunk capacity of zero or above kMaxChunkRecords, an
 // index entry that disagrees with the chunks, bytes after the index
 // trailer (or after the records of a v1 file), a record op past kUnblock,
-// or a call-site id outside the file's table. Open checks the layout; a
-// cursor checks each chunk's records as it decodes them.
+// a call-site id outside the file's table, or a v3 index zone that
+// disagrees with its chunk's records. Open checks the layout; a cursor
+// checks each chunk's records, and their zone, as it decodes them. A
+// chunk that pushdown skips is never decoded, so its zone is trusted.
 //
 // Read path: Open memory-maps the file read-only, so cursors decode
 // straight out of the page cache with no read syscalls or staging copies.
@@ -62,7 +66,6 @@ class TraceChunkReader {
   size_t chunk_count() const { return chunks_.size(); }
   const TraceChunkRef& chunk(size_t index) const { return chunks_[index]; }
   const CallsiteRegistry& callsites() const { return callsites_; }
-  const std::string& path() const { return path_; }
   // Total on-disk bytes of all record chunks (excludes header and index).
   uint64_t payload_bytes() const { return payload_bytes_; }
   // True when the file is memory-mapped rather than read into a buffer.
@@ -83,10 +86,12 @@ class TraceChunkReader {
     // As Read(index), but decodes only the fields in `field_mask`
     // (projection pushdown). On v3 files the unselected stripes are
     // skipped, not decoded, and the corresponding record fields come
-    // back default-initialised; a skipped call-site stripe is not checked
-    // against the table either. v1/v2 rows are fixed width, so the mask
-    // is ignored and every field is populated — consumers must treat
-    // extra populated fields as allowed, not guaranteed.
+    // back default-initialised. Only decoded fields are checked: a
+    // skipped call-site stripe is not checked against the table, nor a
+    // skipped timestamp, pid or op stripe against the chunk's zone. v1/v2
+    // rows are fixed width, so the mask is ignored and every field is
+    // populated — consumers must treat extra populated fields as allowed,
+    // not guaranteed.
     std::span<const TraceRecord> Read(size_t index, uint16_t field_mask);
 
     bool ok() const { return !failed_; }
@@ -111,24 +116,15 @@ class TraceChunkReader {
   Cursor MakeCursor() const { return Cursor(this); }
 
  private:
-  friend std::optional<LoadedTrace> DeserializeTrace(const std::vector<uint8_t>& bytes,
-                                                     TraceReadError* error);
-
   TraceChunkReader() = default;
 
-  // Parses the header and index from the `size` bytes at `bytes`, the
-  // whole file, which the reader keeps for its cursors.
-  static std::optional<TraceChunkReader> Parse(std::shared_ptr<const uint8_t> bytes,
-                                               size_t size, TraceReadError* error);
-
-  std::string path_;
   uint32_t version_ = 0;
   uint64_t record_count_ = 0;
   uint64_t payload_bytes_ = 0;
   std::vector<TraceChunkRef> chunks_;
   CallsiteRegistry callsites_;
-  // The whole file, shared by every cursor: a read-only memory map, a
-  // buffer read from the file, or the bytes DeserializeTrace borrows.
+  // The whole file, shared by every cursor: a read-only memory map or a
+  // buffer read from the file.
   std::shared_ptr<const uint8_t> bytes_;
   bool mapped_ = false;
 };

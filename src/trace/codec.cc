@@ -670,11 +670,6 @@ constexpr uint8_t kMaxStripeCodec = static_cast<uint8_t>(StripeCodec::kRle);
 
 }  // namespace
 
-uint64_t PidDigestBit(Pid pid) {
-  const uint64_t pid16 = static_cast<uint16_t>(static_cast<int16_t>(pid));
-  return uint64_t{1} << ((pid16 * 0x9E3779B97F4A7C15ull) >> 58);
-}
-
 void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_codec,
                    V3EncodeScratch* scratch, std::vector<uint8_t>* out, ChunkZone* zone) {
   // Columnar lanes, in the field order the decoder expects. Expiry is
@@ -702,10 +697,7 @@ void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_code
     lanes[7][i] = static_cast<uint16_t>(static_cast<int16_t>(r.tid));
     lanes[8][i] = static_cast<uint8_t>(r.op);
     lanes[9][i] = r.flags;
-    z.min_timestamp = std::min(z.min_timestamp, r.timestamp);
-    z.max_timestamp = std::max(z.max_timestamp, r.timestamp);
-    z.pid_digest |= PidDigestBit(r.pid);
-    z.op_mask |= static_cast<uint8_t>(1u << static_cast<uint8_t>(r.op));
+    ZoneStep(r, &z);
   }
 
   // Without a block codec the stripes go straight into `out` behind a
@@ -754,7 +746,7 @@ void EncodeV3Chunk(std::span<const TraceRecord> records, BlockCodecId block_code
 ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_records,
                          V3DecodeScratch* scratch, std::vector<TraceRecord>* out,
                          uint16_t field_mask, bool recycle_rows,
-                         uint64_t callsite_count) {
+                         uint64_t callsite_count, ChunkZone* zone) {
   if (size < kV3ChunkHeader) {
     return ChunkParse::kTruncated;
   }
@@ -814,12 +806,12 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
     return ChunkParse::kCorrupt;
   }
 
-  // Row transpose with lane-width and call-site validation folded in: the
-  // checks accumulate branchlessly and the partial rows are dropped again
-  // on a bad chunk, so the common path stays a single pass over the lanes.
-  // resize() default-initialises the new rows, which is what unprojected
-  // fields are specified to hold; recycled rows hold those defaults
-  // already (the caller's contract), so the pass is skipped.
+  // Row transpose with lane-width and call-site validation, and the zone,
+  // folded in: the checks accumulate branchlessly and the partial rows are
+  // dropped again on a bad chunk, so the common path stays a single pass
+  // over the lanes. resize() default-initialises the new rows, which is
+  // what unprojected fields are specified to hold; recycled rows hold
+  // those defaults already (the caller's contract), so the pass is skipped.
   const size_t base =
       recycle_rows ? out->size() - expected_records : out->size();
   if (!recycle_rows) {
@@ -828,6 +820,10 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
   TraceRecord* rows = out->data() + base;
   uint64_t overflow = 0;
   uint64_t op_bad = 0;
+  ChunkZone z;
+  if (expected_records > 0 && (field_mask & kFieldTimestamp) != 0) {
+    z.min_timestamp = z.max_timestamp = static_cast<SimTime>(scratch->lanes[0][0]);
+  }
   if (field_mask == kAllTraceFields) {
     for (size_t i = 0; i < expected_records; ++i) {
       TraceRecord& r = rows[i];
@@ -845,6 +841,7 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
       overflow |= scratch->lanes[5][i] >> 32;
       overflow |= (scratch->lanes[6][i] | scratch->lanes[7][i] | scratch->lanes[9][i]) >> 16;
       op_bad |= scratch->lanes[8][i] > static_cast<uint8_t>(TimerOp::kUnblock) ? 1 : 0;
+      ZoneStep(r, &z);
     }
   } else {
     // Projected transpose: one tight loop per selected lane, so the cost
@@ -855,6 +852,7 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
       const uint64_t* lane = scratch->lanes[0].data();
       for (size_t i = 0; i < n; ++i) {
         rows[i].timestamp = static_cast<SimTime>(lane[i]);
+        z.AddTimestamp(rows[i].timestamp);
       }
     }
     if ((field_mask & kFieldTimer) != 0) {
@@ -894,6 +892,7 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
       for (size_t i = 0; i < n; ++i) {
         rows[i].pid = static_cast<Pid>(static_cast<int16_t>(static_cast<uint16_t>(lane[i])));
         overflow |= lane[i] >> 16;
+        z.AddPid(rows[i].pid);
       }
     }
     if ((field_mask & kFieldTid) != 0) {
@@ -908,6 +907,7 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
       for (size_t i = 0; i < n; ++i) {
         rows[i].op = static_cast<TimerOp>(static_cast<uint8_t>(lane[i]));
         op_bad |= lane[i] > static_cast<uint8_t>(TimerOp::kUnblock) ? 1 : 0;
+        z.AddOp(rows[i].op);
       }
     }
     if ((field_mask & kFieldFlags) != 0) {
@@ -921,6 +921,9 @@ ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_rec
   if (overflow != 0 || op_bad != 0) {
     out->resize(base);
     return ChunkParse::kCorrupt;
+  }
+  if (zone != nullptr) {
+    *zone = z;
   }
   return ChunkParse::kOk;
 }

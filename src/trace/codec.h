@@ -9,6 +9,7 @@
 #ifndef TEMPO_SRC_TRACE_CODEC_H_
 #define TEMPO_SRC_TRACE_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -125,6 +126,13 @@ const BlockCodec* GetBlockCodec(BlockCodecId id);
 // ---------------------------------------------------------------------------
 // Whole-chunk encode/decode.
 
+// The digest bit a pid contributes to ChunkZone::pid_digest. Pids travel
+// the wire as 16-bit values, so the digest hashes that projection.
+inline uint64_t PidDigestBit(Pid pid) {
+  const uint64_t pid16 = static_cast<uint16_t>(static_cast<int16_t>(pid));
+  return uint64_t{1} << ((pid16 * 0x9E3779B97F4A7C15ull) >> 58);
+}
+
 // Zone map of one chunk, stored in the v3 index footer so queries can skip
 // the chunk without decoding it. All fields are conservative summaries.
 struct ChunkZone {
@@ -134,12 +142,26 @@ struct ChunkZone {
   uint64_t pid_digest = 0;  // 64-bit bloom over the pids present
   uint8_t op_mask = 0;      // bit (1 << op) set when the op occurs
 
-  bool operator==(const ChunkZone&) const = default;
+  // What one record's fields add; the timestamps start at the chunk's
+  // first record's. An op past kUnblock (a corrupt chunk) shifts in range.
+  void AddTimestamp(SimTime timestamp) {
+    min_timestamp = std::min(min_timestamp, timestamp);
+    max_timestamp = std::max(max_timestamp, timestamp);
+  }
+  void AddPid(Pid pid) { pid_digest |= PidDigestBit(pid); }
+  void AddOp(TimerOp op) {
+    op_mask |= static_cast<uint8_t>(1u << (static_cast<uint8_t>(op) & 7));
+  }
 };
 
-// The digest bit a pid contributes to ChunkZone::pid_digest. Pids travel
-// the wire as 16-bit values, so the digest hashes that projection.
-uint64_t PidDigestBit(Pid pid);
+// Folds one record into `zone`: the step EncodeV3Chunk takes for every
+// record it stores and DecodeV3Chunk for every record it decodes (a
+// projection adds the fields it decodes), so writer and reader agree.
+inline void ZoneStep(const TraceRecord& record, ChunkZone* zone) {
+  zone->AddTimestamp(record.timestamp);
+  zone->AddPid(record.pid);
+  zone->AddOp(record.op);
+}
 
 // Encodes `records` as one self-contained v3 chunk (chunk header +
 // stripes, optionally block-compressed) appended to `out`; fills `zone`.
@@ -187,11 +209,15 @@ inline constexpr uint16_t kAllTraceFields = (1u << 10) - 1;
 // call-site id at or past it fails the chunk with kCorrupt, like any other
 // value too wide for its field. It is checked only when the call-site
 // stripe is decoded. The default admits every CallsiteId.
+//
+// On success `*zone`, when given, holds the decoded records' zone in the
+// fields `field_mask` decoded; its other fields keep their defaults.
 ChunkParse DecodeV3Chunk(const uint8_t* data, size_t size, uint32_t expected_records,
                          V3DecodeScratch* scratch, std::vector<TraceRecord>* out,
                          uint16_t field_mask = kAllTraceFields,
                          bool recycle_rows = false,
-                         uint64_t callsite_count = uint64_t{1} << 32);
+                         uint64_t callsite_count = uint64_t{1} << 32,
+                         ChunkZone* zone = nullptr);
 
 // Appends the binary encoding of each of `records` to `out`: the rows are
 // sized once and their fields stored in place.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <memory>
 
-#include "src/trace/chunked.h"
 #include "src/trace/wire.h"
 
 namespace tempo {
@@ -13,51 +12,6 @@ namespace tempo {
 namespace {
 
 constexpr size_t kMagicSize = sizeof(wire::kTraceMagic);
-
-std::nullopt_t Fail(TraceReadError reason, TraceReadError* error) {
-  if (error != nullptr) {
-    *error = reason;
-  }
-  return std::nullopt;
-}
-
-// The zone EncodeV3Chunk would have produced for `records` — used to
-// cross-check a parsed footer against the chunks it claims to describe.
-ChunkZone ZoneOf(std::span<const TraceRecord> records) {
-  ChunkZone zone;
-  zone.valid = true;
-  zone.min_timestamp = records.empty() ? 0 : records.front().timestamp;
-  zone.max_timestamp = zone.min_timestamp;
-  for (const TraceRecord& r : records) {
-    zone.min_timestamp = std::min(zone.min_timestamp, r.timestamp);
-    zone.max_timestamp = std::max(zone.max_timestamp, r.timestamp);
-    zone.pid_digest |= PidDigestBit(r.pid);
-    zone.op_mask |= static_cast<uint8_t>(1u << static_cast<uint8_t>(r.op));
-  }
-  return zone;
-}
-
-// Decodes every chunk of `reader` into one trace. A cursor reads one chunk
-// at a time and trusts its index entry; a whole-trace load also checks
-// each v3 zone against the records it summarizes.
-std::optional<LoadedTrace> Collect(const TraceChunkReader& reader, TraceReadError* error) {
-  LoadedTrace trace;
-  trace.callsites = reader.callsites();
-  trace.records.reserve(reader.record_count());
-  TraceChunkReader::Cursor cursor = reader.MakeCursor();
-  for (size_t i = 0; i < reader.chunk_count(); ++i) {
-    const std::span<const TraceRecord> chunk = cursor.Read(i);
-    if (!cursor.ok()) {
-      return Fail(cursor.error(), error);
-    }
-    const ChunkZone& zone = reader.chunk(i).zone;
-    if (zone.valid && ZoneOf(chunk) != zone) {
-      return Fail(TraceReadError::kCorrupt, error);
-    }
-    trace.records.insert(trace.records.end(), chunk.begin(), chunk.end());
-  }
-  return trace;
-}
 
 // Encodes the file of `records` into `*out`, which starts empty, chunk by
 // chunk. With a `file`, `*out` is written out and cleared after each chunk
@@ -171,18 +125,6 @@ std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
   return out;
 }
 
-std::optional<LoadedTrace> DeserializeTrace(const std::vector<uint8_t>& bytes,
-                                            TraceReadError* error) {
-  // The reader only borrows `bytes`: they outlive the collect below.
-  const std::shared_ptr<const uint8_t> borrowed(std::shared_ptr<const uint8_t>(),
-                                                bytes.data());
-  const auto reader = TraceChunkReader::Parse(borrowed, bytes.size(), error);
-  if (!reader.has_value()) {
-    return std::nullopt;
-  }
-  return Collect(*reader, error);
-}
-
 bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& records,
                     const CallsiteRegistry& callsites,
                     const TraceWriteOptions& options) {
@@ -206,15 +148,6 @@ bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& rec
   }
   std::remove(path.c_str());
   return false;
-}
-
-std::optional<LoadedTrace> ReadTraceFile(const std::string& path,
-                                         TraceReadError* error) {
-  const auto reader = TraceChunkReader::Open(path, error);
-  if (!reader.has_value()) {
-    return std::nullopt;
-  }
-  return Collect(*reader, error);
 }
 
 }  // namespace tempo

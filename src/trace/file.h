@@ -3,8 +3,8 @@
 // The study's workflow was to log binary records into the kernel buffer,
 // read them out after the run, and convert to text for analysis
 // (Section 3.2). tempo's equivalent: TraceRun -> WriteTraceFile ->
-// tools/trace2txt | tools/tracestat, or ReadTraceFile back into the
-// analysis pipeline.
+// tools/trace2txt | tools/tracestat, or a TraceChunkReader (chunked.h)
+// feeding the analysis pipeline chunk by chunk.
 //
 // Three on-disk layouts share one header (little endian):
 //
@@ -39,16 +39,14 @@
 // cut the records into chunks of `chunk_records` and hand each to it, so
 // their files are byte-identical; a v1 file is the same rows without the
 // chunk framing. Every version is read by one parser, TraceChunkReader
-// (chunked.h): ReadTraceFile and DeserializeTrace collect all of its
-// chunks into one LoadedTrace. The index footer lets the same reader hand
-// out chunks to parallel workers without materializing the whole trace;
+// (chunked.h), one chunk at a time: the index footer lets it hand out
+// chunks to parallel workers without materializing the whole trace, and
 // the v3 zone maps additionally let predicate-carrying consumers skip
 // chunks without decoding them.
 
 #ifndef TEMPO_SRC_TRACE_FILE_H_
 #define TEMPO_SRC_TRACE_FILE_H_
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,7 +75,8 @@ inline constexpr uint32_t kMaxChunkRecords = 1024 * 1024;
 // revision; truncated: the file ends before its declared content does;
 // corrupt: the content is self-inconsistent (bad record op, a call-site id
 // outside the file's table, out-of-order call-site table, an index that
-// contradicts the header or the chunks, bytes after the declared end);
+// contradicts the header or the chunks, a v3 zone that contradicts its
+// chunk's records, bytes after the declared end);
 // codec: a v3 chunk uses a stripe or block codec this build does not know
 // (a newer writer's file — distinct from corruption so tools can say so).
 enum class TraceReadError : uint8_t {
@@ -91,12 +90,6 @@ enum class TraceReadError : uint8_t {
 
 // Short mnemonic ("truncated file", ...) for error messages.
 const char* TraceReadErrorName(TraceReadError error);
-
-// A trace loaded from disk.
-struct LoadedTrace {
-  std::vector<TraceRecord> records;
-  CallsiteRegistry callsites;
-};
 
 // Output-format knobs for WriteTraceFile / SerializeTrace.
 struct TraceWriteOptions {
@@ -150,22 +143,12 @@ bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& rec
                     const CallsiteRegistry& callsites,
                     const TraceWriteOptions& options = {});
 
-// Reads a trace file of any version through TraceChunkReader; nullopt on
-// failure, with the reason in `*error` when given. Beyond what a cursor
-// checks, every v3 index zone must equal the zone of its chunk's records.
-std::optional<LoadedTrace> ReadTraceFile(const std::string& path,
-                                         TraceReadError* error = nullptr);
-
-// In-memory forms of the file functions: SerializeTrace builds the bytes
-// WriteTraceFile writes, and DeserializeTrace reads bytes exactly as
-// ReadTraceFile reads a file holding them. SerializeTrace requires
+// The bytes WriteTraceFile writes, built in memory. Requires
 // `options.chunk_records` <= kMaxChunkRecords; the reader rejects a file
 // with a larger capacity.
 std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
                                     const CallsiteRegistry& callsites,
                                     const TraceWriteOptions& options = {});
-std::optional<LoadedTrace> DeserializeTrace(const std::vector<uint8_t>& bytes,
-                                            TraceReadError* error = nullptr);
 
 }  // namespace tempo
 

@@ -14,6 +14,7 @@
 #include "src/analysis/summary.h"
 #include "src/sim/random.h"
 #include "src/trace/file.h"
+#include "tests/trace_sweep.h"
 
 namespace tempo {
 namespace {
@@ -248,12 +249,12 @@ TEST_P(AnalysisPropertyTest, ProvenanceConservesOps) {
 
 TEST_P(AnalysisPropertyTest, SerializationPreservesEveryAnalysis) {
   const RandomTrace trace = Generate(GetParam(), 1500);
-  const auto loaded = DeserializeTrace(SerializeTrace(trace.records, trace.callsites));
-  ASSERT_TRUE(loaded.has_value());
+  const Sweep loaded = SweepBytes(SerializeTrace(trace.records, trace.callsites));
+  ASSERT_TRUE(loaded.ok());
   SummaryPass summary_before("x");
   SummaryPass summary_after("x");
   summary_before.Accumulate(trace.records);
-  summary_after.Accumulate(loaded->records);
+  summary_after.Accumulate(loaded.records);
   const TraceSummary before = summary_before.Result();
   const TraceSummary after = summary_after.Result();
   EXPECT_EQ(before.accesses, after.accesses);
@@ -264,7 +265,7 @@ TEST_P(AnalysisPropertyTest, SerializationPreservesEveryAnalysis) {
   ClassifyPass classify_before;
   ClassifyPass classify_after;
   classify_before.Accumulate(trace.records);
-  classify_after.Accumulate(loaded->records);
+  classify_after.Accumulate(loaded.records);
   const auto classes_before = classify_before.Result();
   const auto classes_after = classify_after.Result();
   ASSERT_EQ(classes_before.size(), classes_after.size());

@@ -15,6 +15,7 @@
 #include "src/trace/file.h"
 #include "src/workloads/linux_workloads.h"
 #include "src/workloads/vista_workloads.h"
+#include "tests/trace_sweep.h"
 
 namespace tempo {
 namespace {
@@ -30,14 +31,14 @@ TEST(IntegrationTest, WorkloadTracePersistsAndReanalysesIdentically) {
   TraceRun run = RunLinuxIdle(Short());
   const std::string path = ::testing::TempDir() + "/tempo_integration.trc";
   ASSERT_TRUE(WriteTraceFile(path, run.records, run.callsites()));
-  const auto loaded = ReadTraceFile(path);
+  const Sweep loaded = SweepFile(path);
   std::remove(path.c_str());
-  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(loaded.ok());
 
   SummaryPass live_summary("x");
   SummaryPass reloaded_summary("x");
   live_summary.Accumulate(run.records);
-  reloaded_summary.Accumulate(loaded->records);
+  reloaded_summary.Accumulate(loaded.records);
   const TraceSummary live = live_summary.Result();
   const TraceSummary reloaded = reloaded_summary.Result();
   EXPECT_EQ(live.accesses, reloaded.accesses);
@@ -49,7 +50,7 @@ TEST(IntegrationTest, WorkloadTracePersistsAndReanalysesIdentically) {
   ClassifyPass live_classify;
   ClassifyPass reloaded_classify;
   live_classify.Accumulate(run.records);
-  reloaded_classify.Accumulate(loaded->records);
+  reloaded_classify.Accumulate(loaded.records);
   const auto live_classes = live_classify.Result();
   const auto reloaded_classes = reloaded_classify.Result();
   ASSERT_EQ(live_classes.size(), reloaded_classes.size());

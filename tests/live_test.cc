@@ -31,6 +31,7 @@
 #include "src/trace/relay.h"
 #include "src/trace/stream_writer.h"
 #include "src/workloads/vista_workloads.h"
+#include "tests/trace_sweep.h"
 
 namespace tempo {
 namespace {
@@ -426,15 +427,15 @@ TEST_F(LiveEquivalenceTest, MultiProducerStreamedRunMatchesOfflinePass) {
 
     // The recorded file and the live view came from the same merge; the
     // offline pass over the file must reproduce the live series exactly.
-    const auto loaded = ReadTraceFile(Path());
-    ASSERT_TRUE(loaded.has_value());
-    ASSERT_EQ(loaded->records.size(),
+    const Sweep loaded = SweepFile(Path());
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded.records.size(),
               static_cast<size_t>(kProducers) * kPerProducer);
-    EXPECT_EQ(analyzer.records_ingested(), loaded->records.size());
+    EXPECT_EQ(analyzer.records_ingested(), loaded.records.size());
     EXPECT_EQ(analyzer.windows_evicted(), 0u);
     RateOptions rate_options;
     rate_options.window = window;
-    ExpectMatchesOfflinePass(analyzer.SetRateResult(), loaded->records, grouping,
+    ExpectMatchesOfflinePass(analyzer.SetRateResult(), loaded.records, grouping,
                              rate_options);
   }
 }

@@ -22,6 +22,7 @@
 #include "src/analysis/summary.h"
 #include "src/trace/chunked.h"
 #include "src/trace/file.h"
+#include "tests/trace_sweep.h"
 
 namespace tempo {
 namespace {
@@ -312,11 +313,11 @@ TEST_F(PipelineFileTest, StreamedFileMatchesSerialReadOfTheSameFile) {
     // very file (the codec quantises the redundant expiry field on disk,
     // so comparing against the pre-serialisation records would conflate
     // codec precision with pipeline correctness).
-    TraceReadError error = TraceReadError::kIo;
-    const auto loaded = ReadTraceFile(path, &error);
-    ASSERT_TRUE(loaded.has_value()) << path << ": " << TraceReadErrorName(error);
-    const auto expected = SerialReference(loaded->records, loaded->callsites);
+    const Sweep loaded = SweepFile(path);
+    ASSERT_TRUE(loaded.ok()) << path << ": " << TraceReadErrorName(*loaded.error);
+    const auto expected = SerialReference(loaded.records, loaded.callsites);
 
+    TraceReadError error = TraceReadError::kIo;
     const auto reader = TraceChunkReader::Open(path, &error);
     ASSERT_TRUE(reader.has_value()) << path << ": " << TraceReadErrorName(error);
     EXPECT_EQ(reader->record_count(), records.size());
@@ -420,15 +421,13 @@ TEST_F(PipelineFileTest, DeserializeRejectsCorruptChunkIndex) {
   const auto sites = MakeSites(&callsites);
   const auto records = GenerateTrace(5, 500, sites);
   const auto bytes = SerializedV2(records, callsites);
-  ASSERT_TRUE(DeserializeTrace(bytes).has_value());
+  ASSERT_TRUE(SweepBytes(bytes).ok());
 
   // Flip a byte inside the index footer (between the stated index offset
   // and the trailer): the per-chunk offsets no longer match the layout.
   auto corrupt = bytes;
   corrupt[corrupt.size() - 20] ^= 0x01;
-  TraceReadError error = TraceReadError::kIo;
-  EXPECT_FALSE(DeserializeTrace(corrupt, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kCorrupt);
+  EXPECT_EQ(SweepBytes(corrupt).error, TraceReadError::kCorrupt);
 }
 
 TEST(PipelineRoundTripTest, V1AndV2EncodeTheSameTrace) {
@@ -438,28 +437,28 @@ TEST(PipelineRoundTripTest, V1AndV2EncodeTheSameTrace) {
 
   TraceWriteOptions v1;
   v1.version = kTraceFileVersion;
-  const auto v1_loaded = DeserializeTrace(SerializeTrace(records, callsites, v1));
+  const Sweep v1_loaded = SweepBytes(SerializeTrace(records, callsites, v1));
   TraceWriteOptions v2;
   v2.chunk_records = 77;
-  const auto v2_loaded = DeserializeTrace(SerializeTrace(records, callsites, v2));
-  ASSERT_TRUE(v1_loaded.has_value());
-  ASSERT_TRUE(v2_loaded.has_value());
-  ASSERT_EQ(v1_loaded->records.size(), records.size());
-  ASSERT_EQ(v2_loaded->records.size(), records.size());
+  const Sweep v2_loaded = SweepBytes(SerializeTrace(records, callsites, v2));
+  ASSERT_TRUE(v1_loaded.ok());
+  ASSERT_TRUE(v2_loaded.ok());
+  ASSERT_EQ(v1_loaded.records.size(), records.size());
+  ASSERT_EQ(v2_loaded.records.size(), records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(v1_loaded->records[i].timestamp, v2_loaded->records[i].timestamp);
-    EXPECT_EQ(v1_loaded->records[i].timer, v2_loaded->records[i].timer);
-    EXPECT_EQ(v1_loaded->records[i].timeout, v2_loaded->records[i].timeout);
-    EXPECT_EQ(v1_loaded->records[i].expiry, v2_loaded->records[i].expiry);
-    EXPECT_EQ(v1_loaded->records[i].callsite, v2_loaded->records[i].callsite);
-    EXPECT_EQ(v1_loaded->records[i].pid, v2_loaded->records[i].pid);
-    EXPECT_EQ(static_cast<int>(v1_loaded->records[i].op),
-              static_cast<int>(v2_loaded->records[i].op));
-    EXPECT_EQ(v1_loaded->records[i].flags, v2_loaded->records[i].flags);
+    EXPECT_EQ(v1_loaded.records[i].timestamp, v2_loaded.records[i].timestamp);
+    EXPECT_EQ(v1_loaded.records[i].timer, v2_loaded.records[i].timer);
+    EXPECT_EQ(v1_loaded.records[i].timeout, v2_loaded.records[i].timeout);
+    EXPECT_EQ(v1_loaded.records[i].expiry, v2_loaded.records[i].expiry);
+    EXPECT_EQ(v1_loaded.records[i].callsite, v2_loaded.records[i].callsite);
+    EXPECT_EQ(v1_loaded.records[i].pid, v2_loaded.records[i].pid);
+    EXPECT_EQ(static_cast<int>(v1_loaded.records[i].op),
+              static_cast<int>(v2_loaded.records[i].op));
+    EXPECT_EQ(v1_loaded.records[i].flags, v2_loaded.records[i].flags);
   }
   for (CallsiteId id = 0; id < callsites.size(); ++id) {
-    EXPECT_EQ(v1_loaded->callsites.Name(id), v2_loaded->callsites.Name(id));
-    EXPECT_EQ(v1_loaded->callsites.Parent(id), v2_loaded->callsites.Parent(id));
+    EXPECT_EQ(v1_loaded.callsites.Name(id), v2_loaded.callsites.Name(id));
+    EXPECT_EQ(v1_loaded.callsites.Parent(id), v2_loaded.callsites.Parent(id));
   }
 }
 

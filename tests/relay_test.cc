@@ -30,6 +30,7 @@
 #include "src/trace/file.h"
 #include "src/trace/relay.h"
 #include "src/trace/stream_writer.h"
+#include "tests/trace_sweep.h"
 
 // Global operator new replacements that count calls while
 // g_count_allocations is set (RelayDrainerTest.PolledLaneStopsGrowing).
@@ -311,12 +312,11 @@ TEST_F(StreamWriterTest, StreamedFileRoundTripsThroughReader) {
     writer.Append(Rec(i));
   }
   ASSERT_TRUE(writer.Close());
-  TraceReadError error;
-  auto loaded = ReadTraceFile(Path(), &error);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->records.size(), 20u);
-  EXPECT_EQ(loaded->records[19].timestamp, 19);
-  EXPECT_EQ(loaded->callsites.size(), callsites.size());
+  const Sweep loaded = SweepFile(Path());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.records.size(), 20u);
+  EXPECT_EQ(loaded.records[19].timestamp, 19);
+  EXPECT_EQ(loaded.callsites.size(), callsites.size());
 }
 
 TEST_F(StreamWriterTest, RejectsV1) {

@@ -17,6 +17,7 @@
 #include "src/trace/predicate.h"
 #include "src/trace/stream_writer.h"
 #include "src/trace/wire.h"
+#include "tests/trace_sweep.h"
 
 namespace tempo {
 namespace {
@@ -703,17 +704,17 @@ TEST(TraceV3Test, FileRoundTripMatchesV2) {
   const auto v3_bytes = SerializeTrace(records, callsites, v3);
   EXPECT_LT(v3_bytes.size(), v2_bytes.size());
 
-  const auto from_v2 = DeserializeTrace(v2_bytes);
-  const auto from_v3 = DeserializeTrace(v3_bytes);
-  ASSERT_TRUE(from_v2.has_value());
-  ASSERT_TRUE(from_v3.has_value());
-  ASSERT_EQ(from_v3->records.size(), from_v2->records.size());
-  for (size_t i = 0; i < from_v2->records.size(); ++i) {
-    EXPECT_TRUE(SameRecord(from_v3->records[i], from_v2->records[i])) << i;
+  const Sweep from_v2 = SweepBytes(v2_bytes);
+  const Sweep from_v3 = SweepBytes(v3_bytes);
+  ASSERT_TRUE(from_v2.ok());
+  ASSERT_TRUE(from_v3.ok());
+  ASSERT_EQ(from_v3.records.size(), from_v2.records.size());
+  for (size_t i = 0; i < from_v2.records.size(); ++i) {
+    EXPECT_TRUE(SameRecord(from_v3.records[i], from_v2.records[i])) << i;
   }
-  ASSERT_EQ(from_v3->callsites.size(), callsites.size());
+  ASSERT_EQ(from_v3.callsites.size(), callsites.size());
   for (CallsiteId id = 0; id < callsites.size(); ++id) {
-    EXPECT_EQ(from_v3->callsites.Name(id), callsites.Name(id));
+    EXPECT_EQ(from_v3.callsites.Name(id), callsites.Name(id));
   }
 }
 
@@ -721,9 +722,9 @@ TEST(TraceV3Test, EmptyTraceRoundTripsV3) {
   CallsiteRegistry callsites;
   TraceWriteOptions v3;
   v3.version = kTraceFileVersionColumnar;
-  const auto loaded = DeserializeTrace(SerializeTrace({}, callsites, v3));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->records.empty());
+  const Sweep loaded = SweepBytes(SerializeTrace({}, callsites, v3));
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded.records.empty());
 }
 
 TEST(TraceV3Test, FileTruncationAndCodecErrorsTyped) {
@@ -735,10 +736,8 @@ TEST(TraceV3Test, FileTruncationAndCodecErrorsTyped) {
   v3.block_codec = BlockCodecId::kNone;
   const auto bytes = SerializeTrace(records, callsites, v3);
 
-  TraceReadError error = TraceReadError::kIo;
   std::vector<uint8_t> cut(bytes.begin(), bytes.end() - 3);
-  EXPECT_FALSE(DeserializeTrace(cut, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kTruncated);
+  EXPECT_EQ(SweepBytes(cut).error, TraceReadError::kTruncated);
 
   // Flip the first chunk's block codec byte to an unknown id: the reader
   // must say "unknown codec", not "corrupt". The first chunk begins right
@@ -758,9 +757,7 @@ TEST(TraceV3Test, FileTruncationAndCodecErrorsTyped) {
   ASSERT_EQ(bytes[chunk0], static_cast<uint8_t>(BlockCodecId::kNone));
   std::vector<uint8_t> bad = bytes;
   bad[chunk0] = 99;
-  error = TraceReadError::kIo;
-  EXPECT_FALSE(DeserializeTrace(bad, &error).has_value());
-  EXPECT_EQ(error, TraceReadError::kCodec);
+  EXPECT_EQ(SweepBytes(bad).error, TraceReadError::kCodec);
 }
 
 TEST(TraceV3Test, ChunkReaderStreamsV3) {

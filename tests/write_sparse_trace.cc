@@ -9,7 +9,12 @@
 // than int64_t holds, and one whose request saturates so it fires early.
 // The tools_tempotrace_extreme_slack ctests pin its export.
 //
-// Usage: write_sparse_trace <out.trc> [extreme]
+// With `bad-zone`, it writes the sparse trace as v3 with one bit of the
+// first chunk's index pid digest flipped: a zone that disagrees with its
+// chunk's records. The tools_*_bad_zone ctests require every tool to
+// reject it as corrupt.
+//
+// Usage: write_sparse_trace <out.trc> [extreme|bad-zone]
 
 #include <cstdio>
 #include <cstring>
@@ -19,12 +24,14 @@
 #include "src/trace/callsite.h"
 #include "src/trace/file.h"
 #include "src/trace/record.h"
+#include "src/trace/wire.h"
 
 int main(int argc, char** argv) {
   using namespace tempo;
   const bool extreme = argc == 3 && std::strcmp(argv[2], "extreme") == 0;
-  if (argc != 2 && !extreme) {
-    std::fprintf(stderr, "usage: %s <out.trc> [extreme]\n", argv[0]);
+  const bool bad_zone = argc == 3 && std::strcmp(argv[2], "bad-zone") == 0;
+  if (argc != 2 && !extreme && !bad_zone) {
+    std::fprintf(stderr, "usage: %s <out.trc> [extreme|bad-zone]\n", argv[0]);
     return 2;
   }
   CallsiteRegistry callsites;
@@ -68,6 +75,23 @@ int main(int argc, char** argv) {
     expire.op = TimerOp::kExpire;
     records.push_back(set);
     records.push_back(expire);
+  }
+  if (bad_zone) {
+    TraceWriteOptions v3;
+    v3.version = kTraceFileVersionColumnar;
+    std::vector<uint8_t> bytes = SerializeTrace(records, callsites, v3);
+    // The footer's offset is the u64 before the 8-byte trailer magic. Its
+    // first entry follows the u32 chunk count; the pid digest is 32 bytes in.
+    const uint64_t footer = wire::Get64(bytes.data() + bytes.size() - 16);
+    bytes[footer + 4 + 32] ^= 0x01;
+    std::FILE* out = std::fopen(argv[1], "wb");
+    const bool written = out != nullptr &&
+                         std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
+    if (out == nullptr || std::fclose(out) != 0 || !written) {
+      std::fprintf(stderr, "error: cannot write %s\n", argv[1]);
+      return 1;
+    }
+    return 0;
   }
   if (!WriteTraceFile(argv[1], records, callsites)) {
     std::fprintf(stderr, "error: cannot write %s\n", argv[1]);

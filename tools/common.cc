@@ -1,5 +1,6 @@
 #include "tools/common.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -66,6 +67,17 @@ uint64_t ParseUint(const std::string& name, const std::string& text, uint64_t ma
   return value;
 }
 
+int64_t ParseInt(const std::string& name, const std::string& text, int64_t min,
+                 int64_t max) {
+  const int64_t value = ParseNumber<int64_t>(name, text, "an integer");
+  if (value < min || value > max) {
+    const bool low = value < min;
+    UsageError(name, "'" + text + "' is out of range (" + (low ? "min " : "max ") +
+                         std::to_string(low ? min : max) + ")");
+  }
+  return value;
+}
+
 double ParseDouble(const std::string& name, const std::string& text, double min,
                    double max) {
   const double value = ParseNumber<double>(name, text, "a number");
@@ -81,6 +93,12 @@ double ParseDouble(const std::string& name, const std::string& text, double min,
   return value;
 }
 
+double ParseTime(const std::string& name, const std::string& text, SimDuration unit,
+                 double min) {
+  const double most = static_cast<double>(INT64_MAX / unit);
+  return ParseDouble(name, text, std::max(min, -most), most);
+}
+
 uint64_t ParsedArgs::UintValue(const std::string& flag, uint64_t fallback, size_t index,
                                uint64_t max) const {
   const std::string* text = Find(flag, index);
@@ -91,6 +109,12 @@ double ParsedArgs::DoubleValue(const std::string& flag, double fallback,
                                size_t index) const {
   const std::string* text = Find(flag, index);
   return text == nullptr ? fallback : ParseDouble("--" + flag, *text);
+}
+
+double ParsedArgs::TimeValue(const std::string& flag, double fallback, SimDuration unit,
+                             size_t index, double min) const {
+  const std::string* text = Find(flag, index);
+  return text == nullptr ? fallback : ParseTime("--" + flag, *text, unit, min);
 }
 
 ParsedArgs ParseArgs(int argc, char** argv, std::span<const FlagSpec> specs) {

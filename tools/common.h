@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/time.h"
 #include "src/trace/file.h"
 
 namespace tempo {
@@ -45,11 +46,13 @@ class ParsedArgs {
   std::string Value(const std::string& flag, size_t index = 0,
                     const std::string& fallback = "") const;
 
-  // The same, parsed by ParseUint / ParseDouble below, so a malformed
-  // value prints "error: --<flag>: <reason>" and exits 2.
+  // The same, parsed by ParseUint / ParseDouble / ParseTime below, so a
+  // malformed value prints "error: --<flag>: <reason>" and exits 2.
   uint64_t UintValue(const std::string& flag, uint64_t fallback, size_t index = 0,
                      uint64_t max = UINT64_MAX) const;
   double DoubleValue(const std::string& flag, double fallback, size_t index = 0) const;
+  double TimeValue(const std::string& flag, double fallback, SimDuration unit,
+                   size_t index = 0, double min = -DBL_MAX) const;
 
  private:
   friend ParsedArgs ParseArgs(int argc, char** argv, std::span<const FlagSpec> specs);
@@ -66,12 +69,21 @@ class ParsedArgs {
 // for a flag, "minutes" for a positional). A malformed value is a usage
 // error: these print "error: <name>: <reason>" and exit 2. ParseUint takes
 // plain decimal digits only (no sign, no blanks) up to `max`, the largest
-// value the destination holds; ParseDouble takes any finite decimal number
-// from `min` to `max`.
+// value the destination holds; ParseInt also takes a leading '-', from
+// `min` to `max`; ParseDouble takes any finite decimal number from `min`
+// to `max`.
 uint64_t ParseUint(const std::string& name, const std::string& text,
                    uint64_t max = UINT64_MAX);
+int64_t ParseInt(const std::string& name, const std::string& text, int64_t min,
+                 int64_t max);
 double ParseDouble(const std::string& name, const std::string& text,
                    double min = -DBL_MAX, double max = DBL_MAX);
+
+// The one parse for a time: a count of `unit`s (kSecond, kMinute, ...)
+// through ParseDouble, bounded to `min` and to the whole units a
+// SimDuration holds either side of zero, so converting it cannot overflow.
+double ParseTime(const std::string& name, const std::string& text, SimDuration unit,
+                 double min = -DBL_MAX);
 
 // Parses argv[1..] against `specs`. Unknown flags and missing values make
 // ok() false with a one-line reason; the tool should print the error and

@@ -14,7 +14,7 @@
 // Like tracestat, output is byte-identical for any --jobs value.
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,13 +99,8 @@ bool ParseWhere(const std::string& where, Predicate* predicate) {
     const std::string value = clause.substr(eq + 1);
     if (key == "pid") {
       for (const std::string& pid : SplitAlternatives(value)) {
-        char* rest = nullptr;
-        const long parsed = std::strtol(pid.c_str(), &rest, 10);
-        if (pid.empty() || rest == nullptr || *rest != '\0') {
-          std::fprintf(stderr, "error: bad pid '%s'\n", pid.c_str());
-          return false;
-        }
-        predicate->pids.push_back(static_cast<Pid>(parsed));
+        predicate->pids.push_back(static_cast<Pid>(tools::ParseInt(
+            "pid", pid, std::numeric_limits<Pid>::min(), std::numeric_limits<Pid>::max())));
       }
     } else if (key == "op") {
       uint8_t mask = 0;
@@ -119,9 +114,16 @@ bool ParseWhere(const std::string& where, Predicate* predicate) {
       }
       predicate->op_mask = mask;
     } else if (key == "t") {
+      const size_t comma = value.find(',');
+      const bool framed = value.size() >= 4 && value.front() == '[' &&
+                          value.back() == ')' && comma != std::string::npos;
       double begin = 0.0;
-      double end = 0.0;
-      if (std::sscanf(value.c_str(), "[%lf,%lf)", &begin, &end) != 2 || end < begin) {
+      double end = -1.0;  // a value not framed as [a,b) fails the check below
+      if (framed) {
+        begin = tools::ParseTime("t", value.substr(1, comma - 1), kSecond);
+        end = tools::ParseTime("t", value.substr(comma + 1, value.size() - comma - 2), kSecond);
+      }
+      if (end < begin) {
         std::fprintf(stderr, "error: bad time range '%s' (want t=[a,b))\n",
                      value.c_str());
         return false;

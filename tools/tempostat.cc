@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   }
   const std::string& which = args.positionals()[0];
   const std::string format = args.Value("format", 0, "text");
-  const double minutes = args.DoubleValue("minutes", 3.0);
+  const double minutes = args.TimeValue("minutes", 3.0, kMinute, 0, 0.0);
   const uint64_t seed = args.UintValue("seed", 2008);
   const size_t jobs = static_cast<size_t>(args.UintValue("jobs", 1));
   if (format != "text" && format != "json" && format != "prom" && format != "all") {

@@ -456,12 +456,12 @@ int RunCluster(const tools::ParsedArgs& args, tools::OutputFormat format) {
   const size_t top_k = static_cast<size_t>(args.UintValue("topk", 10));
 
   fleet::FleetOptions fleet_options;
-  fleet_options.stale_after = FromSeconds(args.DoubleValue("stale", 3.0));
+  fleet_options.stale_after = FromSeconds(args.TimeValue("stale", 3.0, kSecond));
 
   fleet::FleetRunOptions run;
   run.hosts = hosts;
-  run.duration = FromSeconds(args.DoubleValue("fleet-seconds", 8.0));
-  run.publish_period = FromSeconds(args.DoubleValue("publish", 0.5));
+  run.duration = FromSeconds(args.TimeValue("fleet-seconds", 8.0, kSecond));
+  run.publish_period = FromSeconds(args.TimeValue("publish", 0.5, kSecond));
   run.seed = args.UintValue("seed", 2008);
   run.threads = static_cast<size_t>(args.UintValue("fleet-threads", 0));
   if (run.duration <= 0 || run.publish_period <= 0) {
@@ -620,13 +620,13 @@ int main(int argc, char** argv) {
   if (queue.empty()) {
     return 2;
   }
-  const double minutes = args.DoubleValue("minutes", 2.0);
+  const double minutes = args.TimeValue("minutes", 2.0, kMinute, 0, 0.0);
   const uint64_t seed = args.UintValue("seed", 2008);
-  const double window_s = args.DoubleValue("window", 1.0);
+  const double window_s = args.TimeValue("window", 1.0, kSecond);
   const size_t top_k = static_cast<size_t>(args.UintValue("topk", 10));
-  const double refresh_s = args.DoubleValue("refresh", 30.0);
+  const double refresh_s = args.TimeValue("refresh", 30.0, kSecond);
   const bool once = args.Has("once");
-  if (window_s <= 0) {
+  if (FromSeconds(window_s) <= 0) {
     std::fprintf(stderr, "error: --window must be positive\n");
     return 2;
   }

@@ -3,7 +3,8 @@
 // directly. One "X" duration span per pending-timer interval (set ->
 // expire/cancel/re-arm), an "i" instant per cancellation, and two counter
 // tracks: live-timer depth at every transition and windowed firing-slack
-// p99. Reads any trace format (v1/v2/v3).
+// p99. Reads any trace format (v1/v2/v3), chunk by chunk from a
+// TraceChunkReader cursor, folding the records into episodes as it goes.
 //
 // --check re-reads the written file through a strict JSON parser and
 // verifies the trace-event schema (pid/tid/ts/ph on every event, dur on
@@ -25,7 +26,7 @@
 #include "src/analysis/lifetimes.h"
 #include "src/obs/snapshot.h"
 #include "src/sim/time.h"
-#include "src/trace/file.h"
+#include "src/trace/chunked.h"
 #include "tools/common.h"
 
 namespace tempo {
@@ -366,21 +367,30 @@ int Run(int argc, char** argv) {
   const std::string out_path =
       args.positionals().size() > 1 ? args.positionals()[1] : path + ".json";
   const SimDuration window =
-      FromMilliseconds(static_cast<double>(args.UintValue("window-ms", 1000)));
+      FromMilliseconds(args.TimeValue("window-ms", 1000, kMillisecond, 0, 0.0));
   if (window <= 0) {
     std::fprintf(stderr, "error: --window-ms must be positive\n");
     return 2;
   }
 
   TraceReadError read_error = TraceReadError::kIo;
-  auto trace = ReadTraceFile(path, &read_error);
-  if (!trace.has_value()) {
+  const auto reader = TraceChunkReader::Open(path, &read_error);
+  if (!reader.has_value()) {
     tools::PrintTraceReadError(path, read_error);
     return 1;
   }
 
+  // Episodes are folded chunk by chunk; the records are never held whole.
   EpisodeBuilder builder;
-  builder.Accumulate(trace->records);
+  TraceChunkReader::Cursor cursor = reader->MakeCursor();
+  for (size_t i = 0; i < reader->chunk_count(); ++i) {
+    const std::span<const TraceRecord> chunk = cursor.Read(i);
+    if (!cursor.ok()) {
+      tools::PrintTraceReadError(path, cursor.error());
+      return 1;
+    }
+    builder.Accumulate(chunk);
+  }
   const std::vector<Episode> episodes = std::move(builder).Finish();
 
   std::vector<Event> events;
@@ -407,7 +417,7 @@ int Run(int argc, char** argv) {
   std::map<SimTime, int64_t> depth_delta;
   std::map<int64_t, SlackHist> window_slack;  // window index -> fired slacks
   for (const Episode& e : episodes) {
-    const std::string name = obs::JsonEscape(trace->callsites.Name(e.callsite));
+    const std::string name = obs::JsonEscape(reader->callsites().Name(e.callsite));
     std::string body = "{\"name\":\"" + name + "\",\"cat\":\"timer\",\"ph\":\"X\"";
     char fixed[256];
     std::snprintf(fixed, sizeof(fixed),

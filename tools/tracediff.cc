@@ -1,40 +1,59 @@
 // tracediff — compares two trace files (e.g. a kernel-feature ablation):
 // summary deltas and per-call-site set-count deltas. Inputs may mix
-// on-disk formats freely (flat v1, chunked v2, columnar v3) —
-// ReadTraceFile decodes them all.
+// on-disk formats freely (flat v1, chunked v2, columnar v3): each is folded
+// chunk by chunk from a TraceChunkReader cursor, so neither trace is ever
+// held whole.
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/analysis/summary.h"
-#include "src/trace/file.h"
+#include "src/trace/chunked.h"
 #include "tools/common.h"
 
 namespace {
 
 using namespace tempo;
 
-std::map<std::string, uint64_t> SetsByCallsite(const LoadedTrace& trace) {
-  std::map<std::string, uint64_t> out;
-  for (const auto& r : trace.records) {
-    if (r.op == TimerOp::kSet || r.op == TimerOp::kBlock) {
-      ++out[trace.callsites.Name(r.callsite)];
+// Folds the trace at `path` into its summary, and adds `sign` times its set
+// count per call-site name to `*sets`. nullopt, with the reason printed,
+// when the trace cannot be read.
+std::optional<TraceSummary> FoldOrExplain(const std::string& path, const char* label,
+                                          long long sign,
+                                          std::map<std::string, long long>* sets) {
+  TraceReadError error = TraceReadError::kIo;
+  const auto reader = TraceChunkReader::Open(path, &error);
+  if (!reader.has_value()) {
+    tools::PrintTraceReadError(path, error);
+    return std::nullopt;
+  }
+  SummaryPass pass(label);
+  // The cursor fails a chunk whose call-site id is past the table.
+  std::vector<long long> by_id(reader->callsites().size());
+  TraceChunkReader::Cursor cursor = reader->MakeCursor();
+  for (size_t i = 0; i < reader->chunk_count(); ++i) {
+    const std::span<const TraceRecord> chunk = cursor.Read(i);
+    if (!cursor.ok()) {
+      tools::PrintTraceReadError(path, cursor.error());
+      return std::nullopt;
+    }
+    pass.Accumulate(chunk);
+    for (const TraceRecord& r : chunk) {
+      if (r.op == TimerOp::kSet || r.op == TimerOp::kBlock) {
+        ++by_id[r.callsite];
+      }
     }
   }
-  return out;
-}
-
-std::optional<LoadedTrace> LoadOrExplain(const std::string& path) {
-  TraceReadError error = TraceReadError::kIo;
-  auto trace = ReadTraceFile(path, &error);
-  if (!trace.has_value()) {
-    tools::PrintTraceReadError(path, error);
+  for (CallsiteId id = 0; id < by_id.size(); ++id) {
+    if (by_id[id] != 0) {
+      (*sets)[reader->callsites().Name(id)] += sign * by_id[id];
+    }
   }
-  return trace;
+  return pass.Result();
 }
 
 }  // namespace
@@ -50,50 +69,33 @@ int main(int argc, char** argv) {
   }
   const std::string& path_a = args.positionals()[0];
   const std::string& path_b = args.positionals()[1];
-  const auto a = LoadOrExplain(path_a);
-  const auto b = LoadOrExplain(path_b);
-  if (!a.has_value() || !b.has_value()) {
+  // Per call-site name: B's set count minus A's.
+  std::map<std::string, long long> sets;
+  const auto sa = FoldOrExplain(path_a, "A", -1, &sets);
+  const auto sb = FoldOrExplain(path_b, "B", 1, &sets);
+  if (!sa.has_value() || !sb.has_value()) {
     return 1;
   }
 
-  SummaryPass pass_a("A");
-  SummaryPass pass_b("B");
-  pass_a.Accumulate(a->records);
-  pass_b.Accumulate(b->records);
-  const TraceSummary sa = pass_a.Result();
-  const TraceSummary sb = pass_b.Result();
   std::printf("%-12s %12s %12s %10s\n", "metric", path_a.c_str(), path_b.c_str(), "delta");
   auto row = [&](const char* name, uint64_t va, uint64_t vb) {
     std::printf("%-12s %12llu %12llu %+10lld\n", name,
                 static_cast<unsigned long long>(va), static_cast<unsigned long long>(vb),
                 static_cast<long long>(vb) - static_cast<long long>(va));
   };
-  row("timers", sa.timers, sb.timers);
-  row("accesses", sa.accesses, sb.accesses);
-  row("sets", sa.set, sb.set);
-  row("expired", sa.expired, sb.expired);
-  row("canceled", sa.canceled, sb.canceled);
-  row("user", sa.user_space, sb.user_space);
-  row("kernel", sa.kernel, sb.kernel);
+  row("timers", sa->timers, sb->timers);
+  row("accesses", sa->accesses, sb->accesses);
+  row("sets", sa->set, sb->set);
+  row("expired", sa->expired, sb->expired);
+  row("canceled", sa->canceled, sb->canceled);
+  row("user", sa->user_space, sb->user_space);
+  row("kernel", sa->kernel, sb->kernel);
 
   std::printf("\nper-call-site set deltas (largest first):\n");
-  const auto sets_a = SetsByCallsite(*a);
-  const auto sets_b = SetsByCallsite(*b);
-  std::set<std::string> names;
-  for (const auto& [name, count] : sets_a) {
-    names.insert(name);
-  }
-  for (const auto& [name, count] : sets_b) {
-    names.insert(name);
-  }
   std::vector<std::pair<long long, std::string>> deltas;
-  for (const std::string& name : names) {
-    const auto ia = sets_a.find(name);
-    const auto ib = sets_b.find(name);
-    const long long va = ia == sets_a.end() ? 0 : static_cast<long long>(ia->second);
-    const long long vb = ib == sets_b.end() ? 0 : static_cast<long long>(ib->second);
-    if (va != vb) {
-      deltas.emplace_back(vb - va, name);
+  for (const auto& [name, delta] : sets) {
+    if (delta != 0) {
+      deltas.emplace_back(delta, name);
     }
   }
   std::sort(deltas.begin(), deltas.end(), [](const auto& x, const auto& y) {

@@ -9,7 +9,6 @@
 // on disk at roughly half the scan speed, meant for cold archives.
 
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <sys/stat.h>
 
@@ -87,12 +86,8 @@ int main(int argc, char** argv) {
   options.duration = 30 * kMinute;
   options.seed = 2008;
   if (positionals.size() >= 3) {
-    // At most the whole minutes a SimDuration holds, so the conversion
-    // cannot overflow.
-    const double max_minutes =
-        static_cast<double>(std::numeric_limits<SimDuration>::max() / kMinute);
     options.duration =
-        FromSeconds(tools::ParseDouble("minutes", positionals[2], 0.0, max_minutes) * 60.0);
+        FromSeconds(tools::ParseTime("minutes", positionals[2], kMinute, 0.0) * 60.0);
   }
   if (positionals.size() >= 4) {
     options.seed = tools::ParseUint("seed", positionals[3]);

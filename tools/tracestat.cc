@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   }
   const bool user_only = args.Has("user-only");
   const bool jiffies = !args.Has("no-jiffies");
-  const double blame_start = args.DoubleValue("blame", -1.0, 0);
-  const double blame_end = args.DoubleValue("blame", -1.0, 1);
+  const double blame_start = args.TimeValue("blame", -1.0, kSecond, 0);
+  const double blame_end = args.TimeValue("blame", -1.0, kSecond, 1);
   const size_t jobs = static_cast<size_t>(args.UintValue("jobs", 0));
 
   const std::string& path = args.positionals()[0];
