@@ -8,7 +8,11 @@
 //   encode:    serializing the trace as v3 costs at most 1.2x serializing
 //              it as v2, per record (best of three each): the writer sizes
 //              every stripe codec and writes only the winner, so a
-//              columnar file need not cost much more to write than rows;
+//              columnar file need not cost much more to write than rows.
+//              SerializeTrace encodes chunks on every core, so this gate
+//              times the parallel writer; beside it, ungated, the same
+//              chunks go through EncodeTraceChunk one after another on one
+//              thread, the codecs' own cost per record;
 //   scan:      an analysis scan that declares the fields it reads (a
 //              per-op rate summary: timestamp + op) runs at least 2x
 //              faster from v3 than from v2, with byte-identical rendered
@@ -142,23 +146,47 @@ std::vector<TraceRecord> GenerateTrace(size_t count,
   return records;
 }
 
-// Best-of-N wall time of SerializeTrace, in ns per record.
-double SerializeNsPerRecord(const std::vector<TraceRecord>& records,
-                            const CallsiteRegistry& callsites,
-                            const TraceWriteOptions& options, int reps) {
+// Best-of-N wall time of `run()`, in ns per record of `records`.
+template <typename Run>
+double BestNsPerRecord(size_t records, int reps, const Run& run) {
   double best = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<uint8_t> bytes = SerializeTrace(records, callsites, options);
+    run();
     const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() /
-        static_cast<double>(records.size());
+    const double ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() /
+                      static_cast<double>(records);
     if (rep == 0 || ns < best) {
       best = ns;
     }
   }
   return best;
+}
+
+// SerializeTrace, in ns per record.
+double SerializeNsPerRecord(const std::vector<TraceRecord>& records,
+                            const CallsiteRegistry& callsites,
+                            const TraceWriteOptions& options, int reps) {
+  return BestNsPerRecord(records.size(), reps, [&] {
+    const std::vector<uint8_t> bytes = SerializeTrace(records, callsites, options);
+  });
+}
+
+// The trace's chunks encoded one after another on this thread, through
+// EncodeTraceChunk into one reused buffer, in ns per record.
+double ChunkCodecNsPerRecord(const std::vector<TraceRecord>& records,
+                             const TraceWriteOptions& options, int reps) {
+  V3EncodeScratch scratch;
+  std::vector<uint8_t> out;
+  return BestNsPerRecord(records.size(), reps, [&] {
+    for (size_t first = 0; first < records.size(); first += options.chunk_records) {
+      const std::span<const TraceRecord> chunk(
+          records.data() + first,
+          std::min<size_t>(options.chunk_records, records.size() - first));
+      out.clear();
+      EncodeTraceChunk(chunk, options, 0, &scratch, &out);
+    }
+  });
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -422,6 +450,8 @@ int main() {
   SimTime trace_end = 0;
   double v2_encode_ns = 0;
   double v3_encode_ns = 0;
+  double v2_codec_ns = 0;
+  double v3_codec_ns = 0;
   {
     std::printf("generating synthetic trace...\n");
     auto records = GenerateTrace(record_count, sites);
@@ -451,10 +481,16 @@ int main() {
     v2_encode_ns = SerializeNsPerRecord(records, callsites, options, kScanReps);
     options.version = kTraceFileVersionColumnar;
     v3_encode_ns = SerializeNsPerRecord(records, callsites, options, kScanReps);
+    v3_codec_ns = ChunkCodecNsPerRecord(records, options, kScanReps);
+    options.version = kTraceFileVersionChunked;
+    v2_codec_ns = ChunkCodecNsPerRecord(records, options, kScanReps);
   }  // the records vector dies here: everything below streams from disk
   const double encode_ratio = v2_encode_ns > 0 ? v3_encode_ns / v2_encode_ns : 0;
-  std::printf("encode (serialize): v2 %.1f ns/rec, v3 %.1f ns/rec (%.2fx)\n", v2_encode_ns,
-              v3_encode_ns, encode_ratio);
+  const double codec_ratio = v2_codec_ns > 0 ? v3_codec_ns / v2_codec_ns : 0;
+  std::printf("encode (serialize, %u cores): v2 %.1f ns/rec, v3 %.1f ns/rec (%.2fx)\n", cores,
+              v2_encode_ns, v3_encode_ns, encode_ratio);
+  std::printf("encode (one thread, ungated): v2 %.1f ns/rec, v3 %.1f ns/rec (%.2fx)\n",
+              v2_codec_ns, v3_codec_ns, codec_ratio);
 
   const uint64_t v2_bytes = FileBytes(v2_path);
   const uint64_t v3_bytes = FileBytes(v3_path);
@@ -603,6 +639,10 @@ int main() {
                  "  \"encode\": {\"v2_ns_per_record\": %.1f, \"v3_ns_per_record\": %.1f, "
                  "\"ratio\": %.3f},\n",
                  v2_encode_ns, v3_encode_ns, encode_ratio);
+    std::fprintf(json,
+                 "  \"encode_one_thread\": {\"v2_ns_per_record\": %.1f, "
+                 "\"v3_ns_per_record\": %.1f, \"ratio\": %.3f},\n",
+                 v2_codec_ns, v3_codec_ns, codec_ratio);
     std::fprintf(json,
                  "  \"selective\": {\"chunks_decoded\": %llu, \"chunks_skipped\": %llu, "
                  "\"chunk_fraction\": %.4f, \"bytes_decoded\": %llu, "

@@ -84,15 +84,6 @@ std::vector<std::pair<size_t, size_t>> PartitionChunks(size_t chunk_count, size_
   return ranges;
 }
 
-size_t EffectiveJobs(size_t requested, size_t chunk_count) {
-  size_t jobs = requested;
-  if (jobs == 0) {
-    jobs = std::thread::hardware_concurrency();
-  }
-  jobs = std::max<size_t>(jobs, 1);
-  return std::min(jobs, std::max<size_t>(chunk_count, 1));
-}
-
 std::vector<std::unique_ptr<AnalysisPass>> ForkAll(
     const std::vector<std::unique_ptr<AnalysisPass>>& passes) {
   std::vector<std::unique_ptr<AnalysisPass>> forks;

@@ -5,8 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include "src/trace/wire.h"
 
@@ -298,6 +300,15 @@ std::span<const TraceRecord> TraceChunkReader::Cursor::Read(size_t index,
     }
   }
   return std::span<const TraceRecord>(decoded_.data(), decoded_.size());
+}
+
+size_t EffectiveJobs(size_t requested, size_t chunk_count) {
+  size_t jobs = requested;
+  if (jobs == 0) {
+    jobs = std::thread::hardware_concurrency();
+  }
+  jobs = std::max<size_t>(jobs, 1);
+  return std::min(jobs, std::max<size_t>(chunk_count, 1));
 }
 
 }  // namespace tempo

@@ -37,7 +37,9 @@
 // to share across threads. Each worker thread creates its own Cursor,
 // which owns a private decode buffer; Cursor::Read seeks to any chunk in
 // any order, so N workers can stream disjoint chunk ranges in parallel
-// (this is what analysis/pipeline.h does).
+// (this is what analysis/pipeline.h does). EffectiveJobs is the one rule
+// for how many threads work on a trace's chunks: the analysis pipeline
+// reads them and the file writers (file.h) encode them with it.
 
 #ifndef TEMPO_SRC_TRACE_CHUNKED_H_
 #define TEMPO_SRC_TRACE_CHUNKED_H_
@@ -128,6 +130,11 @@ class TraceChunkReader {
   std::shared_ptr<const uint8_t> bytes_;
   bool mapped_ = false;
 };
+
+// Threads to put on `chunk_count` chunks when `requested` are asked for:
+// 0 asks for std::thread::hardware_concurrency(). Never more than the
+// chunks, and at least one.
+size_t EffectiveJobs(size_t requested, size_t chunk_count);
 
 }  // namespace tempo
 

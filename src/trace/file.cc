@@ -1,10 +1,16 @@
 #include "src/trace/file.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
+#include "src/trace/chunked.h"
 #include "src/trace/wire.h"
 
 namespace tempo {
@@ -13,39 +19,186 @@ namespace {
 
 constexpr size_t kMagicSize = sizeof(wire::kTraceMagic);
 
-// Encodes the file of `records` into `*out`, which starts empty, chunk by
-// chunk. With a `file`, `*out` is written out and cleared after each chunk
-// and after the index, so the file streams through one chunk's worth of
-// memory; without one, `*out` ends up holding the whole file. False on a
-// write error.
+// One slot of the bulk writers' ring: an encoded chunk waiting to be
+// written, in a buffer every chunk that lands in the slot reuses.
+struct EncodedChunk {
+  std::vector<uint8_t> bytes;
+  TraceChunkRef ref;
+  bool ready = false;  // encoded and not yet written; guarded by the mutex
+};
+
+// Encodes the chunks of a trace on W = EffectiveJobs(0, chunks) threads,
+// the calling thread among them, and hands them to the calling thread in
+// chunk order. Chunk i is encoded into slot i % 2W of a ring, and no
+// thread starts it before chunk i - 2W has been handed over, so at most 2W
+// encoded chunks exist at once. Each thread keeps one V3EncodeScratch. With
+// W = 1 no thread is started: the calling thread encodes every chunk just
+// before handing it over.
+class OrderedChunkEncoder {
+ public:
+  OrderedChunkEncoder(const std::vector<TraceRecord>& records, const TraceWriteOptions& options,
+                      uint32_t capacity)
+      : records_(records),
+        options_(options),
+        capacity_(capacity),
+        count_((records.size() + capacity - 1) / capacity),
+        ring_(2 * EffectiveJobs(0, count_)) {
+    // Reserved first, so no allocation can fail with a thread started.
+    threads_.reserve(ring_.size() / 2 - 1);
+    try {
+      for (size_t w = 1; w < ring_.size() / 2; ++w) {
+        threads_.emplace_back([this] { Work(); });
+      }
+    } catch (const std::system_error&) {
+      // A thread that cannot be started leaves its chunks to the others.
+    }
+  }
+
+  OrderedChunkEncoder(const OrderedChunkEncoder&) = delete;
+  OrderedChunkEncoder& operator=(const OrderedChunkEncoder&) = delete;
+
+  ~OrderedChunkEncoder() { Join(); }
+
+  // Calls `write(ref, bytes)` for every chunk in order, with `ref.offset`
+  // left 0, until it returns false. False when a write failed. An
+  // exception thrown while encoding is rethrown here once every thread has
+  // joined.
+  template <typename Write>
+  bool ForEachChunk(const Write& write) {
+    V3EncodeScratch scratch;
+    for (size_t i = 0; i < count_; ++i) {
+      EncodedChunk& chunk = ring_[i % ring_.size()];
+      bool failed = false;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        // Until this chunk is ready, encode the next unclaimed one (maybe this one).
+        while (!chunk.ready && failure_ == nullptr) {
+          if (Claimable()) {
+            const size_t claimed = next_++;
+            lock.unlock();
+            Encode(claimed, &scratch);
+            lock.lock();
+            ring_[claimed % ring_.size()].ready = true;
+          } else {
+            ready_.wait(lock);
+          }
+        }
+        failed = failure_ != nullptr;
+      }
+      if (failed) {
+        Join();
+        std::rethrow_exception(failure_);
+      }
+      const bool ok = write(chunk.ref, std::span<const uint8_t>(chunk.bytes));
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        chunk.ready = false;
+        written_ = i + 1;
+      }
+      if (!ok) {
+        return false;
+      }
+      space_.notify_one();
+    }
+    return true;
+  }
+
+ private:
+  // True when the next chunk may be encoded: it exists, and its ring slot
+  // has been written. Caller holds the mutex.
+  bool Claimable() const { return next_ < count_ && next_ < written_ + ring_.size(); }
+
+  void Encode(size_t index, V3EncodeScratch* scratch) {
+    const size_t first = index * capacity_;
+    const std::span<const TraceRecord> records(
+        records_.data() + first, std::min<size_t>(capacity_, records_.size() - first));
+    EncodedChunk& chunk = ring_[index % ring_.size()];
+    chunk.bytes.clear();
+    chunk.ref = EncodeTraceChunk(records, options_, 0, scratch, &chunk.bytes);
+  }
+
+  void Work() {
+    V3EncodeScratch scratch;
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      space_.wait(lock, [this] { return stop_ || next_ >= count_ || Claimable(); });
+      if (stop_ || next_ >= count_) {
+        return;
+      }
+      const size_t claimed = next_++;
+      lock.unlock();
+      try {
+        Encode(claimed, &scratch);
+      } catch (...) {
+        lock.lock();
+        if (failure_ == nullptr) {
+          failure_ = std::current_exception();
+        }
+        ready_.notify_one();
+        return;
+      }
+      lock.lock();
+      ring_[claimed % ring_.size()].ready = true;
+      ready_.notify_one();
+    }
+  }
+
+  // Stops handing out chunks and joins every thread.
+  void Join() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    space_.notify_all();
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+    threads_.clear();
+  }
+
+  const std::vector<TraceRecord>& records_;
+  const TraceWriteOptions& options_;
+  const uint32_t capacity_;
+  const size_t count_;
+  std::vector<EncodedChunk> ring_;
+  std::mutex mu_;                  // guards the fields below and ring_'s `ready`
+  std::condition_variable ready_;  // a chunk was encoded, or encoding failed
+  std::condition_variable space_;  // a chunk was written, or the threads stop
+  size_t next_ = 0;                // the next chunk to encode
+  size_t written_ = 0;             // chunks handed over so far
+  bool stop_ = false;
+  std::exception_ptr failure_;
+  std::vector<std::thread> threads_;  // last: the threads use every field above
+};
+
+// Writes the file of `records` through `put(bytes)`, which appends bytes
+// to the output: the header, every chunk in order as OrderedChunkEncoder
+// hands it over, then the index. False as soon as a put fails.
+template <typename Put>
 bool EncodeTrace(const std::vector<TraceRecord>& records, const CallsiteRegistry& callsites,
-                 const TraceWriteOptions& options, std::FILE* file, std::vector<uint8_t>* out) {
-  auto flush = [file, out] {
-    if (file == nullptr) {
-      return true;
-    }
-    const bool ok = std::fwrite(out->data(), 1, out->size(), file) == out->size();
-    out->clear();
-    return ok;
-  };
+                 const TraceWriteOptions& options, const Put& put) {
   const uint32_t capacity = options.chunk_records > 0 ? options.chunk_records : 1;
-  PutTraceHeader(options.version, callsites, records.size(), capacity, out);
-  uint64_t offset = out->size();
+  std::vector<uint8_t> framing;
+  PutTraceHeader(options.version, callsites, records.size(), capacity, &framing);
+  if (!put(std::span<const uint8_t>(framing))) {
+    return false;
+  }
+  uint64_t offset = framing.size();
   std::vector<TraceChunkRef> chunks;
-  V3EncodeScratch scratch;
-  for (size_t next = 0; next < records.size(); next += capacity) {
-    const std::span<const TraceRecord> chunk(
-        records.data() + next, std::min<size_t>(capacity, records.size() - next));
-    chunks.push_back(EncodeTraceChunk(chunk, options, offset, &scratch, out));
-    offset += chunks.back().stored_bytes;
-    if (!flush()) {
-      return false;
-    }
+  OrderedChunkEncoder encoder(records, options, capacity);
+  const bool written =
+      encoder.ForEachChunk([&](TraceChunkRef ref, std::span<const uint8_t> bytes) {
+        ref.offset = offset;
+        offset += ref.stored_bytes;
+        chunks.push_back(ref);
+        return put(bytes);
+      });
+  if (!written || options.version == kTraceFileVersion) {
+    return written;
   }
-  if (options.version != kTraceFileVersion) {
-    PutTraceIndex(options.version, chunks, offset, out);
-  }
-  return flush();
+  framing.clear();
+  PutTraceIndex(options.version, chunks, offset, &framing);
+  return put(std::span<const uint8_t>(framing));
 }
 
 }  // namespace
@@ -121,7 +274,10 @@ std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
                                     const TraceWriteOptions& options) {
   std::vector<uint8_t> out;
   out.reserve(64 + records.size() * kEncodedRecordSize);
-  EncodeTrace(records, callsites, options, nullptr, &out);
+  EncodeTrace(records, callsites, options, [&out](std::span<const uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+    return true;
+  });
   return out;
 }
 
@@ -141,8 +297,10 @@ bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& rec
   if (file == nullptr) {
     return false;
   }
-  std::vector<uint8_t> chunk;
-  const bool written = EncodeTrace(records, callsites, options, file.get(), &chunk);
+  const bool written = EncodeTrace(
+      records, callsites, options, [f = file.get()](std::span<const uint8_t> bytes) {
+        return std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+      });
   if (std::fclose(file.release()) == 0 && written) {
     return true;
   }

@@ -38,7 +38,15 @@
 // SerializeTrace, WriteTraceFile and TraceStreamWriter (stream_writer.h)
 // cut the records into chunks of `chunk_records` and hand each to it, so
 // their files are byte-identical; a v1 file is the same rows without the
-// chunk framing. Every version is read by one parser, TraceChunkReader
+// chunk framing. The two bulk writers, SerializeTrace and WriteTraceFile,
+// hold the whole trace, so they encode its chunks on W threads, W =
+// EffectiveJobs(0, chunks) (chunked.h: one per hardware thread, at most
+// one per chunk), the calling thread among them. The calling thread writes
+// the chunks strictly in chunk order and builds the index, so the bytes do
+// not depend on W; at most 2W encoded chunks exist at once, in buffers that
+// are reused from chunk to chunk. With W = 1 no thread is started.
+// TraceStreamWriter encodes on its one drainer thread. Every version is
+// read by one parser, TraceChunkReader
 // (chunked.h), one chunk at a time: the index footer lets it hand out
 // chunks to parallel workers without materializing the whole trace, and
 // the v3 zone maps additionally let predicate-carrying consumers skip
@@ -135,17 +143,23 @@ TraceChunkRef EncodeTraceChunk(std::span<const TraceRecord> records,
                                const TraceWriteOptions& options, uint64_t offset,
                                V3EncodeScratch* scratch, std::vector<uint8_t>* out);
 
-// Writes records + call-site table to `path` (chunked v2 by default), each
-// chunk as soon as it is encoded, through one reused buffer. Returns false
-// on I/O error, having removed the partly written file, or without
-// creating the file when `options.chunk_records` exceeds kMaxChunkRecords.
+// Writes records + call-site table to `path` (chunked v2 by default). Its
+// chunks are encoded on W threads, the calling thread among them, which
+// writes each in chunk order as soon as it and every chunk before it are
+// encoded; at most 2W encoded chunks are held at once. Returns false on
+// I/O error, having stopped the encoding, joined its threads and removed
+// the partly written file, or without creating the file when
+// `options.chunk_records` exceeds kMaxChunkRecords. An exception thrown
+// while encoding reaches the caller once every thread has joined, and the
+// file is removed.
 bool WriteTraceFile(const std::string& path, const std::vector<TraceRecord>& records,
                     const CallsiteRegistry& callsites,
                     const TraceWriteOptions& options = {});
 
-// The bytes WriteTraceFile writes, built in memory. Requires
-// `options.chunk_records` <= kMaxChunkRecords; the reader rejects a file
-// with a larger capacity.
+// The bytes WriteTraceFile writes, built in memory the same way: chunks
+// encoded on W threads and appended in chunk order by the calling thread.
+// Requires `options.chunk_records` <= kMaxChunkRecords; the reader rejects
+// a file with a larger capacity.
 std::vector<uint8_t> SerializeTrace(const std::vector<TraceRecord>& records,
                                     const CallsiteRegistry& callsites,
                                     const TraceWriteOptions& options = {});

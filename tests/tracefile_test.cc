@@ -367,11 +367,12 @@ TEST(TraceDamageTest, ProjectionChecksZonesOnlyForDecodedFields) {
 
 // --- every writer writes the same bytes ---
 //
-// SerializeTrace builds a file in memory, WriteTraceFile streams it through
-// one reused chunk buffer, and TraceStreamWriter buffers the open chunk's
-// records and assembles the file at Close. All three cut chunks alike and
-// encode them with EncodeTraceChunk, so for every format, chunk size and
-// trace shape they must write the same bytes.
+// SerializeTrace builds a file in memory and WriteTraceFile streams it to
+// disk, both encoding chunks on every core and writing them in chunk order;
+// TraceStreamWriter buffers the open chunk's records on one thread and
+// assembles the file at Close. All three cut chunks alike and encode them
+// with EncodeTraceChunk, so for every format, chunk size and trace shape
+// they must write the same bytes.
 
 struct WriterFormat {
   const char* name;
@@ -379,10 +380,10 @@ struct WriterFormat {
   BlockCodecId block_codec;
 };
 
-enum class TraceShape { kEmpty, kOneRecord, kMultiChunk };
+enum class TraceShape { kEmpty, kOneRecord, kMultiChunk, kManyChunks };
 
 const char* ShapeName(TraceShape shape) {
-  static const char* const kShapes[] = {"empty", "one", "multi"};
+  static const char* const kShapes[] = {"empty", "one", "multi", "many"};
   return kShapes[static_cast<int>(shape)];
 }
 
@@ -399,17 +400,24 @@ std::string WriterCaseName(const WriterCase& c) {
          ShapeName(shape);
 }
 
-// Three full chunks and a tail of half a chunk plus one record.
+// Multi: three full chunks and a tail of half a chunk plus one record.
+// Many: 37 full chunks and the same tail, so the bulk writers' ring of
+// encoded chunks wraps several times on any core count.
 size_t WriterRecordCount(TraceShape shape, uint32_t chunk_records) {
+  size_t full = 0;
   switch (shape) {
     case TraceShape::kEmpty:
       return 0;
     case TraceShape::kOneRecord:
       return 1;
     case TraceShape::kMultiChunk:
+      full = 3;
+      break;
+    case TraceShape::kManyChunks:
+      full = 37;
       break;
   }
-  return 3 * size_t{chunk_records} + chunk_records / 2 + 1;
+  return full * chunk_records + chunk_records / 2 + 1;
 }
 
 std::vector<TraceRecord> WriterTrace(CallsiteRegistry* callsites, size_t count) {
@@ -484,20 +492,30 @@ TEST_P(TraceWriterTest, EveryWriterWritesTheSameBytes) {
   std::remove(path.c_str());
 }
 
+const auto kWriterFormats =
+    ::testing::Values(WriterFormat{"v1", kTraceFileVersion, BlockCodecId::kNone},
+                      WriterFormat{"v2", kTraceFileVersionChunked, BlockCodecId::kNone},
+                      WriterFormat{"v3", kTraceFileVersionColumnar, BlockCodecId::kNone},
+                      WriterFormat{"v3lz", kTraceFileVersionColumnar, BlockCodecId::kTempoLz});
+
+std::string WriterTestName(const ::testing::TestParamInfo<WriterCase>& param_info) {
+  return WriterCaseName(param_info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWriters, TraceWriterTest,
-    ::testing::Combine(
-        ::testing::Values(WriterFormat{"v1", kTraceFileVersion, BlockCodecId::kNone},
-                          WriterFormat{"v2", kTraceFileVersionChunked, BlockCodecId::kNone},
-                          WriterFormat{"v3", kTraceFileVersionColumnar, BlockCodecId::kNone},
-                          WriterFormat{"v3lz", kTraceFileVersionColumnar,
-                                       BlockCodecId::kTempoLz}),
-        ::testing::Values(1u, 7u, 4096u, kDefaultChunkRecords),
-        ::testing::Values(TraceShape::kEmpty, TraceShape::kOneRecord,
-                          TraceShape::kMultiChunk)),
-    [](const ::testing::TestParamInfo<WriterCase>& param_info) {
-      return WriterCaseName(param_info.param);
-    });
+    ::testing::Combine(kWriterFormats, ::testing::Values(1u, 7u, 4096u, kDefaultChunkRecords),
+                       ::testing::Values(TraceShape::kEmpty, TraceShape::kOneRecord,
+                                         TraceShape::kMultiChunk)),
+    WriterTestName);
+
+// The many-chunk shape leaves out the default chunk size: 37 chunks of
+// 64 Ki records would hold about half a gigabyte per case, and the ring
+// wraps the same way at any chunk size.
+INSTANTIATE_TEST_SUITE_P(ManyChunks, TraceWriterTest,
+                         ::testing::Combine(kWriterFormats, ::testing::Values(1u, 7u, 4096u),
+                                            ::testing::Values(TraceShape::kManyChunks)),
+                         WriterTestName);
 
 // kMaxChunkRecords is the largest chunk either file writer emits and the
 // reader takes; one record more is refused before anything is written.
@@ -549,6 +567,37 @@ TEST(TraceFileTest, FailedWriteLeavesNoFile) {
       },
       ::testing::ExitedWithCode(0), "");
   std::remove(path.c_str());
+}
+
+// The same on a many-chunk trace whose write fails part way through, while
+// the writer's threads are still encoding later chunks: it stops handing
+// out chunks, joins them, and removes the file, for rows and for columns.
+TEST(TraceFileTest, FailedWriteWhileEncodingLeavesNoFile) {
+  CallsiteRegistry callsites;
+  constexpr uint32_t kChunk = 4096;
+  const auto records =
+      WriterTrace(&callsites, WriterRecordCount(TraceShape::kManyChunks, kChunk));
+  for (const uint32_t version : {kTraceFileVersionChunked, kTraceFileVersionColumnar}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    TraceWriteOptions options;
+    options.version = version;
+    options.chunk_records = kChunk;
+    // A fifth of the file fits: several chunks are written first.
+    const size_t limit = SerializeTrace(records, callsites, options).size() / 5;
+    const std::string path = ::testing::TempDir() + "/tempo_failed_write_many.trc";
+    EXPECT_EXIT(
+        {
+          std::signal(SIGXFSZ, SIG_IGN);
+          rlimit rl{};
+          getrlimit(RLIMIT_FSIZE, &rl);
+          rl.rlim_cur = limit;
+          setrlimit(RLIMIT_FSIZE, &rl);
+          const bool written = WriteTraceFile(path, records, callsites, options);
+          std::exit(!written && !std::ifstream(path).good() ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    std::remove(path.c_str());
+  }
 }
 
 // --- seeded mutation suite ---

@@ -376,6 +376,10 @@ struct NamedWorkload {
   WorkloadRunner run;
 };
 
+// gtest prints parameters into the test list; the name keeps it stable
+// across builds, where the default would print the struct's bytes.
+void PrintTo(const NamedWorkload& workload, std::ostream* os) { *os << workload.name; }
+
 class WorkloadSeedSweep
     : public ::testing::TestWithParam<std::tuple<NamedWorkload, uint64_t>> {};
 

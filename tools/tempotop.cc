@@ -9,7 +9,9 @@
 // RelayDrainer polls that channel on a simulated-time cadence and feeds
 // the timestamp-ordered merge to a LiveAnalyzer (src/live). Nothing here
 // re-reads the recorded trace: every number on screen was computed online,
-// in bounded memory, from the drain path.
+// in bounded memory, from the drain path. The rate rings hold one slot per
+// --window of the run, at most 65536 (18 hours at the default 1 s); a
+// --minutes/--window pair that needs more exits 2.
 //
 //   workload: linux-{idle,skype,firefox,webserver},
 //             vista-{idle,skype,firefox,webserver,desktop}, or `service`
@@ -49,6 +51,11 @@
 
 namespace tempo {
 namespace {
+
+// The most windows a live rate ring may hold: 18 hours at the default 1 s
+// window. Each ring keeps kRingSlack windows beyond the run's length.
+constexpr size_t kMaxRingWindows = 65536;
+constexpr size_t kRingSlack = 16;
 
 // Labels every registered process by its own name; pids the table does not
 // know (there are none in practice) fall under "System".
@@ -630,6 +637,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --window must be positive\n");
     return 2;
   }
+  // The live ring keeps one slot per window of the run plus kRingSlack, so
+  // a small window over a long run would ask for gigabytes.
+  const double most_windows = static_cast<double>(kMaxRingWindows - kRingSlack);
+  if (minutes * 60.0 / window_s > most_windows) {
+    std::fprintf(stderr,
+                 "error: --window: '%s' is out of range for --minutes %g (min %g: the live "
+                 "ring holds at most %zu windows)\n",
+                 args.Value("window", 0, "1").c_str(), minutes, minutes * 60.0 / most_windows,
+                 kMaxRingWindows);
+    return 2;
+  }
 
   live::BurstThresholds thresholds;
   thresholds.threshold = args.DoubleValue("burst-threshold", thresholds.threshold);
@@ -652,9 +670,9 @@ int main(int argc, char** argv) {
     live_options.grouping = grouping;
     live_options.callsites = callsites;
     live_options.burst = thresholds;
-    // Enough windows for any plausible interactive run; ~3 rings × series.
+    // Every window of the run; ~3 rings × series.
     live_options.ring_windows =
-        static_cast<size_t>(minutes * 60.0 / window_s) + 16;
+        static_cast<size_t>(minutes * 60.0 / window_s) + kRingSlack;
     analyzer = std::make_unique<live::LiveAnalyzer>(live_options);
     slack = std::make_unique<live::SlackTracker>();
     drainer = std::make_unique<RelayDrainer>(
