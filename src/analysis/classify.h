@@ -95,6 +95,9 @@ class ClassifyPass : public AnalysisPass {
   // Per-timer classifications; call after all merges.
   std::vector<TimerClass> Result() const;
 
+  // The episode fold Result classifies.
+  const EpisodeBuilder& builder() const { return episodes_; }
+
  private:
   ClassifyOptions options_;
   std::string column_;  // column label in the rendered histogram

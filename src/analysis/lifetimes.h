@@ -325,6 +325,11 @@ class EpisodeBuilder {
   // consumed.
   std::vector<Episode> Finish() &&;
 
+  // Episodes filed so far (one per arming record), and the cluster groups
+  // holding them.
+  size_t episodes() const { return created_; }
+  size_t groups() const { return groups_.size(); }
+
  private:
   static constexpr uint32_t kNoGroup = UINT32_MAX;
 

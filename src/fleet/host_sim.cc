@@ -57,13 +57,15 @@ SimulatedHost::SimulatedHost(HostSimOptions options)
   // registry — a thousand analyzers sharing {series=outlook.exe}
   // instruments would break the single-writer rule.
   live.stats_label.clear();
-  live.classifier.stats_label.clear();
-  live.classifier.capacity = 256;
   analyzer_ = std::make_unique<live::LiveAnalyzer>(live);
-  drainer_ = std::make_unique<RelayDrainer>(&channels_, [this](const TraceRecord& record) {
-    analyzer_->Ingest(record);
-    slack_.Ingest(record);
-  });
+  drainer_ = std::make_unique<RelayDrainer>(
+      &channels_,
+      [this](const TraceRecord& record) {
+        analyzer_->Ingest(record);
+        slack_.Ingest(record);
+        patterns_.Ingest(record);
+      },
+      /*instrumented=*/false);
 }
 
 void SimulatedHost::Log(RelayChannel* channel, const TraceRecord& record) {
@@ -143,7 +145,8 @@ HostSummary SimulatedHost::BuildSummary() {
     drainer_->Poll();
   }
   HostSummary summary = BuildHostSummary(options_.name, ++sequence_,
-                                         analyzer_->TakeSnapshot(), &channels_, &slack_);
+                                         analyzer_->TakeSnapshot(), &channels_, &slack_,
+                                         &patterns_);
   summary.metrics.push_back(
       {"relay_accepted",
        static_cast<int64_t>(kernel_channel_->accepted() + outlook_channel_->accepted())});

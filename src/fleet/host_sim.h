@@ -5,7 +5,7 @@
 // UI watchdog idles near 70 sets/s and storms to ~7000 sets/s for about a
 // second — generated deterministically from a seed, logged through the
 // host's own lock-free relay channels, drained into the host's own
-// (uninstrumented) LiveAnalyzer, and published as wire-framed summaries.
+// (uninstrumented) live taps, and published as wire-framed summaries.
 // Every host is an independent replica of the single-host tempotop
 // pipeline; nothing is shared between hosts except the transport they
 // publish into.
@@ -25,6 +25,7 @@
 
 #include "src/fleet/summary.h"
 #include "src/live/live_analyzer.h"
+#include "src/live/pattern_tracker.h"
 #include "src/live/slack_tracker.h"
 #include "src/sim/time.h"
 #include "src/trace/callsite.h"
@@ -53,7 +54,7 @@ struct HostSimOptions {
   SimDuration window = kSecond;  // live analyzer rate window
 };
 
-// One host: workload generator -> relay channels -> drainer -> analyzer.
+// One host: workload generator -> relay channels -> drainer -> live taps.
 // Single-threaded; RunFleet guarantees one thread touches a host at a time.
 class SimulatedHost {
  public:
@@ -79,6 +80,7 @@ class SimulatedHost {
   const std::string& name() const { return options_.name; }
   const live::LiveAnalyzer& analyzer() const { return *analyzer_; }
   const live::SlackTracker& slack() const { return slack_; }
+  const live::PatternTracker& patterns() const { return patterns_; }
   RelayChannelSet* channels() { return &channels_; }
   uint64_t frames_published() const { return sequence_; }
 
@@ -102,9 +104,11 @@ class SimulatedHost {
   RelayChannel* kernel_channel_;
   RelayChannel* outlook_channel_;
   std::unique_ptr<live::LiveAnalyzer> analyzer_;
-  // Empty label, like the analyzer: fleet replicas stay off the obs
-  // registry.
+  // Empty labels, like the analyzer: fleet replicas stay off the obs
+  // registry. A thousand hosts share one process: at 1 Ki episodes a
+  // host's pattern fold stays near 90 KB.
   live::SlackTracker slack_{""};
+  live::PatternTracker patterns_{"", 1024};
   std::unique_ptr<RelayDrainer> drainer_;
   size_t logs_since_poll_ = 0;
   uint64_t sequence_ = 0;

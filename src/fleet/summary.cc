@@ -43,7 +43,8 @@ uint64_t HostSummary::relay_dropped() const {
 HostSummary BuildHostSummary(const std::string& host, uint64_t sequence,
                              const live::LiveSnapshot& snapshot,
                              RelayChannelSet* channels,
-                             const live::SlackTracker* slack) {
+                             const live::SlackTracker* slack,
+                             const live::PatternTracker* patterns) {
   HostSummary summary;
   summary.host = host;
   summary.sequence = sequence;
@@ -58,9 +59,6 @@ HostSummary BuildHostSummary(const std::string& host, uint64_t sequence,
   for (const live::LiveSeriesStats& stats : snapshot.origins) {
     summary.origins.push_back(FromStats(stats));
   }
-  summary.patterns = snapshot.patterns;
-  summary.classifier_tracked = snapshot.classifier_tracked;
-  summary.classifier_evictions = snapshot.classifier_evictions;
   summary.windows_evicted = snapshot.windows_evicted;
   if (channels != nullptr) {
     for (size_t i = 0; i < channels->size(); ++i) {
@@ -71,6 +69,11 @@ HostSummary BuildHostSummary(const std::string& host, uint64_t sequence,
   }
   if (slack != nullptr) {
     summary.slack = DigestFrom(slack->state());
+  }
+  if (patterns != nullptr) {
+    summary.patterns = patterns->Mix();
+    summary.classifier_tracked = patterns->tracked();
+    summary.classifier_evictions = patterns->evictions();
   }
   return summary;
 }

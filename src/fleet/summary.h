@@ -3,7 +3,7 @@
 // A HostSummary is the unit of fleet observation: a compact, cumulative
 // digest of one host's live analysis state (src/live) — per-process and
 // per-origin set/expire/cancel totals and rates, burst detector state, the
-// streaming usage-pattern mix, relay-channel drop counters, and a small
+// live usage-pattern mix, relay-channel drop counters, and a small
 // metrics snapshot — stamped with the host's name, clock and a publish
 // sequence number. Hosts publish summaries periodically; the wire format
 // (wire.h) frames them; the aggregator (aggregator.h) merges them across
@@ -21,6 +21,7 @@
 
 #include "src/analysis/latency.h"
 #include "src/live/live_analyzer.h"
+#include "src/live/pattern_tracker.h"
 #include "src/live/slack_tracker.h"
 #include "src/sim/time.h"
 #include "src/trace/relay.h"
@@ -96,7 +97,9 @@ struct HostSummary {
 
   std::vector<SeriesSummary> processes;
   std::vector<SeriesSummary> origins;
-  // Pattern name -> timers assigned to it by the online classifier.
+  // Pattern name -> cluster groups the offline rule assigns it, over the
+  // records since the host's pattern fold last reset (PatternTracker::Mix);
+  // tracked counts the fold's groups, evictions the groups resets dropped.
   std::vector<std::pair<std::string, uint64_t>> patterns;
   uint64_t classifier_tracked = 0;
   uint64_t classifier_evictions = 0;
@@ -114,12 +117,13 @@ struct HostSummary {
 
 // Builds a host's summary from its live analyzer snapshot and relay
 // channel set (either may be what tempotop already displays locally).
-// `channels` and `slack` may be nullptr. The caller stamps
+// `channels`, `slack` and `patterns` may be nullptr. The caller stamps
 // host/sequence/metrics.
 HostSummary BuildHostSummary(const std::string& host, uint64_t sequence,
                              const live::LiveSnapshot& snapshot,
                              RelayChannelSet* channels,
-                             const live::SlackTracker* slack = nullptr);
+                             const live::SlackTracker* slack = nullptr,
+                             const live::PatternTracker* patterns = nullptr);
 
 }  // namespace fleet
 }  // namespace tempo

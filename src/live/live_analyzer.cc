@@ -8,8 +8,7 @@ namespace live {
 
 LiveAnalyzer::LiveAnalyzer(LiveOptions options)
     : options_(std::move(options)),
-      window_seconds_(ToSeconds(options_.window > 0 ? options_.window : 1)),
-      classifier_(options_.classifier) {
+      window_seconds_(ToSeconds(options_.window > 0 ? options_.window : 1)) {
   // An empty stats_label disables instrumentation entirely. Fleet host
   // replicas need this: many analyzers sharing the process-global registry
   // would alias the same instruments and break the single-writer rule.
@@ -40,8 +39,6 @@ void LiveAnalyzer::Ingest(const TraceRecord& record) {
     max_ts_ = record.timestamp;
     any_records_ = true;
   }
-
-  classifier_.Observe(record);
 
   if (record.timestamp < options_.start || options_.window <= 0) {
     return;
@@ -198,15 +195,6 @@ LiveSnapshot LiveAnalyzer::TakeSnapshot(size_t top_k) const {
   snapshot.processes = collect(processes_, /*with_burst=*/true);
   snapshot.origins = collect(origins_, /*with_burst=*/false);
 
-  const auto& mix = classifier_.mix();
-  for (size_t i = 0; i < mix.size(); ++i) {
-    if (mix[i] > 0) {
-      snapshot.patterns.emplace_back(
-          UsagePatternName(static_cast<UsagePattern>(i)), mix[i]);
-    }
-  }
-  snapshot.classifier_tracked = classifier_.tracked();
-  snapshot.classifier_evictions = classifier_.evictions();
   snapshot.windows_evicted = windows_evicted();
   return snapshot;
 }

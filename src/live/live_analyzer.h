@@ -1,9 +1,9 @@
-// Live analysis over the relay drain path — Figure 1 computed online.
+// Live rates and bursts over the relay drain path — Figure 1 computed online.
 //
 // A LiveAnalyzer taps the globally timestamp-ordered record stream a
 // RelayDrainer emits (hook `Ingest` into the drainer's EmitFn, before or
-// after the TraceStreamWriter) and maintains, in bounded memory, the three
-// things an operator of a timer service wants to watch while it runs:
+// after the TraceStreamWriter) and maintains, in bounded memory, the two
+// things an operator of a timer service watches for rates while it runs:
 //
 //   1. Sliding-window rate series — per-window set/expire/cancel counts per
 //      process label and per origin (the callsite's facility prefix), kept
@@ -18,9 +18,10 @@
 //   2. A streaming burst detector per process label (threshold +
 //      hysteresis, burst.h) that flags the Outlook 7000 sets/s watchdog
 //      idiom while it happens and surfaces it through obs gauges.
-//   3. An online usage-pattern classifier (classifier.h) applying the
-//      paper's 2 ms variance rule to streaming inter-set deltas, with LRU
-//      eviction of cold timers counted in the obs registry.
+//
+// Firing slack (SlackTracker) and the usage-pattern mix (PatternTracker)
+// are separate taps on the same drain path, each folding the offline
+// pass's own state.
 //
 // Single-threaded consumer, like the drainer that feeds it: all calls must
 // come from one thread (or be externally serialised). The obs instruments
@@ -38,7 +39,6 @@
 
 #include "src/analysis/rates.h"
 #include "src/live/burst.h"
-#include "src/live/classifier.h"
 #include "src/live/window_ring.h"
 #include "src/obs/metrics.h"
 #include "src/trace/callsite.h"
@@ -63,8 +63,6 @@ struct LiveOptions {
   const CallsiteRegistry* callsites = nullptr;
   // Burst detection over per-process set rates.
   BurstThresholds burst;
-  // Online classifier tuning (LRU capacity, 2 ms variance, dominance).
-  OnlineClassifier::Options classifier;
   // Label on this analyzer's obs instruments. Empty disables them (and the
   // per-series burst instruments): required when many analyzers coexist in
   // one process, e.g. simulated fleet hosts, where shared instruments
@@ -94,10 +92,6 @@ struct LiveSnapshot {
   uint64_t records = 0;
   std::vector<LiveSeriesStats> processes;  // top-K by total sets
   std::vector<LiveSeriesStats> origins;    // top-K by total sets
-  // Pattern name -> timers currently assigned to it (single-use included).
-  std::vector<std::pair<std::string, uint64_t>> patterns;
-  uint64_t classifier_tracked = 0;
-  uint64_t classifier_evictions = 0;
   uint64_t windows_evicted = 0;  // ring evictions across all series
 };
 
@@ -118,14 +112,13 @@ class LiveAnalyzer {
   // Identical to the offline pass while windows_evicted() == 0.
   std::vector<RateSeries> SetRateResult() const;
 
-  // Publishes slow-moving aggregates (windows evicted, tracked timers)
-  // into obs gauges; call before a registry snapshot.
+  // Publishes slow-moving aggregates (windows evicted, series) into obs
+  // gauges; call before a registry snapshot.
   void SyncObs();
 
   uint64_t records_ingested() const { return records_; }
   SimTime now() const { return max_ts_; }
   uint64_t windows_evicted() const;
-  const OnlineClassifier& classifier() const { return classifier_; }
 
  private:
   struct Entry {
@@ -161,7 +154,6 @@ class LiveAnalyzer {
   std::map<std::string, Entry> origins_;
   std::unordered_map<Pid, Entry*> pid_cache_;        // nullptr: dropped label
   std::unordered_map<CallsiteId, Entry*> origin_cache_;
-  OnlineClassifier classifier_;
   uint64_t records_ = 0;
   SimTime max_ts_ = 0;
   bool any_records_ = false;

@@ -112,14 +112,16 @@ void RelayChannelSet::CloseAll() {
   }
 }
 
-RelayDrainer::RelayDrainer(RelayChannelSet* channels, EmitFn emit)
-    : channels_(channels),
-      emit_(std::move(emit)),
-      metric_polls_(obs::Registry::Global().GetCounter(
-          "trace_relay_drainer_polls", {}, "RelayDrainer harvest passes")),
-      metric_emitted_(obs::Registry::Global().GetCounter(
-          "trace_relay_drainer_emitted", {},
-          "Records emitted by the drainer's ordered merge")) {}
+RelayDrainer::RelayDrainer(RelayChannelSet* channels, EmitFn emit, bool instrumented)
+    : channels_(channels), emit_(std::move(emit)) {
+  if (instrumented) {
+    obs::Registry& registry = obs::Registry::Global();
+    metric_polls_ = registry.GetCounter("trace_relay_drainer_polls", {},
+                                        "RelayDrainer harvest passes");
+    metric_emitted_ = registry.GetCounter(
+        "trace_relay_drainer_emitted", {}, "Records emitted by the drainer's ordered merge");
+  }
+}
 
 void RelayDrainer::HarvestAll() {
   const size_t n = channels_->size();
@@ -185,12 +187,16 @@ size_t RelayDrainer::EmitMerged(SimTime bound, bool bounded) {
     ++emitted;
   }
   emitted_ += emitted;
-  metric_emitted_->Inc(emitted);
+  if (metric_emitted_ != nullptr) {
+    metric_emitted_->Inc(emitted);
+  }
   return emitted;
 }
 
 size_t RelayDrainer::Poll() {
-  metric_polls_->Inc();
+  if (metric_polls_ != nullptr) {
+    metric_polls_->Inc();
+  }
   HarvestAll();
   // Watermark rule: a record is safe to emit once it is strictly below
   // every open channel's largest harvested timestamp — no producer can

@@ -179,7 +179,11 @@ class RelayDrainer {
  public:
   using EmitFn = std::function<void(const TraceRecord&)>;
 
-  RelayDrainer(RelayChannelSet* channels, EmitFn emit);
+  // An uninstrumented drainer stays off the process-global obs registry.
+  // Drainers polled from different threads need this (simulated fleet
+  // hosts): they would share the same two unlabelled counters and break
+  // the registry's single-writer rule.
+  RelayDrainer(RelayChannelSet* channels, EmitFn emit, bool instrumented = true);
 
   // Harvests published sub-buffers and emits every record proven globally
   // orderable: records strictly below the minimum watermark of all open
@@ -220,8 +224,8 @@ class RelayDrainer {
   EmitFn emit_;
   std::vector<Lane> lanes_;
   uint64_t emitted_ = 0;
-  obs::Counter* metric_polls_;
-  obs::Counter* metric_emitted_;
+  obs::Counter* metric_polls_ = nullptr;    // null: uninstrumented
+  obs::Counter* metric_emitted_ = nullptr;
 };
 
 }  // namespace tempo

@@ -3,7 +3,8 @@
 // damaged stream stays poisoned), incremental decoding under arbitrary
 // fragmentation, aggregator loss accounting (gaps, duplicates, staleness,
 // dirty closes — a host never silently disappears), and the end-to-end
-// paths: simulated hosts over the in-process pipe and over real TCP.
+// paths: simulated hosts over the in-process pipe and over real TCP, and
+// a host whose pattern fold resets publishing what its tracker holds.
 
 #include <gtest/gtest.h>
 
@@ -483,6 +484,23 @@ TEST(FleetEndToEnd, SimulatedFleetOverPipeIsLosslessAndBursts) {
   EXPECT_TRUE(view.clean());
   // Every simulated desktop runs the outlook.exe watchdog storm.
   EXPECT_EQ(agg.HostsWithBurst("outlook.exe", 5000.0), 3u);
+}
+
+// A host's pattern fold starts over at its capacity; the summary it
+// publishes carries the tracker's evictions, mix and group count as they
+// stand.
+TEST(FleetHostTest, PatternFoldPastCapacityReachesTheSummary) {
+  HostSimOptions options;
+  options.seed = 3;
+  SimulatedHost host(options);
+  host.AdvanceTo(4 * kSecond);  // ~4000 kernel arms, and the outlook storm
+  const HostSummary summary = host.BuildSummary();
+  const live::PatternTracker& patterns = host.patterns();
+  EXPECT_GT(patterns.evictions(), 0u);
+  EXPECT_EQ(summary.classifier_evictions, patterns.evictions());
+  EXPECT_EQ(summary.classifier_tracked, patterns.tracked());
+  EXPECT_FALSE(summary.patterns.empty());
+  EXPECT_EQ(summary.patterns, patterns.Mix());
 }
 
 TEST(FleetEndToEnd, SimulatedFleetOverTcpIsLossless) {

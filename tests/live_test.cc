@@ -1,9 +1,10 @@
 // Tests for the live analysis layer (src/live): the bounded window rings,
-// the burst detector's hysteresis, the online usage-pattern classifier and
-// its LRU, and the LiveAnalyzer's load-bearing identity contract — for a
-// finished run, the live per-label set-rate series must equal what the
-// offline RatesPass computes from the recorded trace of the same run.
-// The equivalence is checked three ways, at several window sizes:
+// the burst detector's hysteresis, and the two live ≡ offline identity
+// contracts of the drain path's taps.
+//
+// LiveAnalyzer: for a finished run, the live per-label set-rate series must
+// equal what the offline RatesPass computes from the recorded trace of the
+// same run. The equivalence is checked three ways, at several window sizes:
 //   * synthetic record streams fed to both sides directly;
 //   * a randomized multi-producer relay run, recorded to disk through
 //     TraceStreamWriter on the same drain path the analyzer taps (the
@@ -11,25 +12,37 @@
 //   * a real workload (the Figure 1 Vista desktop) observed through the
 //     LiveTapOptions hookup while it executes — which must also flag the
 //     Outlook watchdog storm as a burst, online.
+//
+// PatternTracker: with no evictions, the live usage-pattern mix must equal
+// ClassifyPass's group count per pattern over the same records, on every
+// workload tapped live; a fold that resets at its capacity must hold no
+// more episodes than that, count every group it drops, and equal
+// ClassifyPass over the records fed since its last reset.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/analysis/classify.h"
 #include "src/analysis/rates.h"
 #include "src/live/burst.h"
-#include "src/live/classifier.h"
 #include "src/live/live_analyzer.h"
+#include "src/live/pattern_tracker.h"
 #include "src/live/window_ring.h"
 #include "src/timer/timer_service.h"
 #include "src/trace/file.h"
 #include "src/trace/relay.h"
 #include "src/trace/stream_writer.h"
+#include "src/workloads/run.h"
 #include "src/workloads/vista_workloads.h"
 #include "tests/trace_sweep.h"
 
@@ -40,7 +53,7 @@ using live::BurstDetector;
 using live::BurstThresholds;
 using live::LiveAnalyzer;
 using live::LiveOptions;
-using live::OnlineClassifier;
+using live::PatternTracker;
 using live::RateRing;
 
 TraceRecord Rec(SimTime ts, TimerOp op, Pid pid = kKernelPid, TimerId timer = 1,
@@ -150,106 +163,22 @@ TEST(LiveBurstTest, ClearAboveThresholdIsClamped) {
   EXPECT_EQ(det.bursts(), 1u);
 }
 
-// --- OnlineClassifier ---
-
-OnlineClassifier::Options QuietOptions(size_t capacity = 64) {
-  OnlineClassifier::Options o;
-  o.capacity = capacity;
-  o.stats_label.clear();  // keep unit tests out of the global registry
-  return o;
-}
-
-UsagePattern PatternOf(const OnlineClassifier& c, TimerId id) {
-  UsagePattern p = UsagePattern::kOther;
-  EXPECT_TRUE(c.Lookup(id, &p));
-  return p;
-}
-
-TEST(LiveClassifierTest, PeriodicTimerIsClassifiedStreaming) {
-  OnlineClassifier c(QuietOptions());
-  const SimDuration period = 100 * kMillisecond;
-  SimTime t = 0;
-  for (int i = 0; i < 4; ++i) {
-    c.Observe(Rec(t, TimerOp::kSet, 1, 7, period));
-    t += period;
-    c.Observe(Rec(t, TimerOp::kExpire, 1, 7));
+// Groups per pattern name (single-use included) that the offline
+// ClassifyPass finds in `records`, in UsagePattern order: what
+// PatternTracker::Mix must report for the same records.
+std::vector<std::pair<std::string, uint64_t>> OfflineMix(
+    std::span<const TraceRecord> records) {
+  ClassifyPass pass;
+  pass.Accumulate(records);
+  std::map<UsagePattern, uint64_t> groups;
+  for (const TimerClass& c : pass.Result()) {
+    ++groups[c.pattern];
   }
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kPeriodic);
-}
-
-TEST(LiveClassifierTest, WatchdogNeverExpires) {
-  OnlineClassifier c(QuietOptions());
-  for (int i = 0; i < 4; ++i) {
-    c.Observe(Rec(i * kSecond, TimerOp::kSet, 1, 7, 5 * kSecond));
+  std::vector<std::pair<std::string, uint64_t>> mix;
+  for (const auto& [pattern, count] : groups) {
+    mix.emplace_back(UsagePatternName(pattern), count);
   }
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kWatchdog);
-}
-
-TEST(LiveClassifierTest, TimeoutIsCanceledThenReSet) {
-  OnlineClassifier c(QuietOptions());
-  for (int i = 0; i < 4; ++i) {
-    c.Observe(Rec(i * kSecond, TimerOp::kSet, 1, 7, 100 * kMillisecond));
-    c.Observe(Rec(i * kSecond + 10 * kMillisecond, TimerOp::kCancel, 1, 7));
-  }
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kTimeout);
-}
-
-TEST(LiveClassifierTest, DelayReSetsAfterARealGap) {
-  OnlineClassifier c(QuietOptions());
-  SimTime t = 0;
-  for (int i = 0; i < 4; ++i) {
-    c.Observe(Rec(t, TimerOp::kSet, 1, 7, 100 * kMillisecond));
-    t += 100 * kMillisecond;
-    c.Observe(Rec(t, TimerOp::kExpire, 1, 7));
-    t += 100 * kMillisecond;  // a gap well beyond the 2 ms variance
-  }
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kDelay);
-}
-
-TEST(LiveClassifierTest, CountdownCountsThePreviousValueDown) {
-  OnlineClassifier c(QuietOptions());
-  c.Observe(Rec(0, TimerOp::kSet, 1, 7, 500 * kMillisecond));
-  c.Observe(Rec(100 * kMillisecond, TimerOp::kSet, 1, 7, 400 * kMillisecond));
-  c.Observe(Rec(200 * kMillisecond, TimerOp::kSet, 1, 7, 300 * kMillisecond));
-  c.Observe(Rec(300 * kMillisecond, TimerOp::kSet, 1, 7, 200 * kMillisecond));
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kCountdown);
-}
-
-TEST(LiveClassifierTest, WatchdogWithExpiriesIsDeferred) {
-  OnlineClassifier c(QuietOptions());
-  // Deferred four times like a watchdog...
-  for (int i = 0; i < 5; ++i) {
-    c.Observe(Rec(i * 500 * kMillisecond, TimerOp::kSet, 1, 7, kSecond));
-  }
-  // ...then it finally fires and is restarted.
-  c.Observe(Rec(3 * kSecond, TimerOp::kExpire, 1, 7));
-  c.Observe(Rec(3 * kSecond, TimerOp::kSet, 1, 7, kSecond));
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kDeferred);
-}
-
-TEST(LiveClassifierTest, BelowMinEpisodesStaysSingleUse) {
-  OnlineClassifier c(QuietOptions());
-  c.Observe(Rec(0, TimerOp::kSet, 1, 7, kSecond));
-  c.Observe(Rec(kSecond, TimerOp::kSet, 1, 7, kSecond));
-  EXPECT_EQ(PatternOf(c, 7), UsagePattern::kSingleUse);
-}
-
-TEST(LiveClassifierTest, LruEvictsColdestAndFreezesItsPattern) {
-  OnlineClassifier c(QuietOptions(/*capacity=*/2));
-  c.Observe(Rec(0, TimerOp::kSet, 1, 1, kSecond));
-  c.Observe(Rec(1, TimerOp::kSet, 1, 2, kSecond));
-  c.Observe(Rec(2, TimerOp::kSet, 1, 3, kSecond));  // evicts timer 1
-  EXPECT_EQ(c.tracked(), 2u);
-  EXPECT_EQ(c.evictions(), 1u);
-  UsagePattern p;
-  EXPECT_FALSE(c.Lookup(1, &p));
-  EXPECT_TRUE(c.Lookup(2, &p));
-  EXPECT_TRUE(c.Lookup(3, &p));
-  // The evicted timer's pattern stays frozen in the aggregate mix.
-  EXPECT_EQ(c.mix()[static_cast<size_t>(UsagePattern::kSingleUse)], 3u);
-  // A cancel/expire of an evicted timer must not resurrect it.
-  c.Observe(Rec(3, TimerOp::kExpire, 1, 1));
-  EXPECT_EQ(c.tracked(), 2u);
+  return mix;
 }
 
 // --- LiveAnalyzer vs the offline RatesPass (identity contract) ---
@@ -299,7 +228,6 @@ TEST(LiveAnalyzerTest, SetRateResultEqualsOfflinePassAtSeveralWindows) {
     LiveOptions options;
     options.window = window;
     options.grouping = grouping;
-    options.classifier.stats_label.clear();
     options.stats_label = "test";
     LiveAnalyzer analyzer(options);
     for (const TraceRecord& r : records) {
@@ -315,7 +243,6 @@ TEST(LiveAnalyzerTest, SetRateResultEqualsOfflinePassAtSeveralWindows) {
 
 TEST(LiveAnalyzerTest, EmptyAndDegenerateStreams) {
   LiveOptions options;
-  options.classifier.stats_label.clear();
   options.stats_label = "test-empty";
   LiveAnalyzer analyzer(options);
   EXPECT_TRUE(analyzer.SetRateResult().empty());
@@ -331,7 +258,6 @@ TEST(LiveAnalyzerTest, RingEvictionIsSurfacedNotSilent) {
   LiveOptions options;
   options.window = kSecond;
   options.ring_windows = 4;
-  options.classifier.stats_label.clear();
   options.stats_label = "test-evict";
   LiveAnalyzer analyzer(options);
   for (int w = 0; w < 64; ++w) {
@@ -371,7 +297,6 @@ TEST_F(LiveEquivalenceTest, MultiProducerStreamedRunMatchesOfflinePass) {
     LiveOptions options;
     options.window = window;
     options.grouping = grouping;
-    options.classifier.stats_label.clear();
     options.stats_label = "equiv";
     LiveAnalyzer analyzer(options);
     // One drain path, two consumers of the same merge: the stream writer
@@ -452,7 +377,6 @@ TEST(LiveServiceTest, ConcurrentTimerServiceDrainsIntoTheAnalyzer) {
 
   LiveOptions options;
   options.window = 100 * kMillisecond;
-  options.classifier.stats_label.clear();
   options.stats_label = "service";
   LiveAnalyzer analyzer(options);
   std::vector<TraceRecord> merged;
@@ -523,6 +447,7 @@ TEST(LiveServiceTest, ConcurrentTimerServiceDrainsIntoTheAnalyzer) {
 TEST(LiveWorkloadTest, VistaDesktopLiveEqualsOfflineAndFlagsOutlookBurst) {
   RelayChannelSet channels;
   std::unique_ptr<LiveAnalyzer> analyzer;
+  PatternTracker patterns("");
   std::unique_ptr<RelayDrainer> drainer;
   LiveTapOptions tap;
   tap.channels = &channels;
@@ -537,11 +462,13 @@ TEST(LiveWorkloadTest, VistaDesktopLiveEqualsOfflineAndFlagsOutlookBurst) {
         }
       }
       options.callsites = tap.callsites;
-      options.classifier.stats_label.clear();
       options.stats_label = "workload";
       analyzer = std::make_unique<LiveAnalyzer>(options);
       drainer = std::make_unique<RelayDrainer>(
-          &channels, [&a = *analyzer](const TraceRecord& r) { a.Ingest(r); });
+          &channels, [&a = *analyzer, &p = patterns](const TraceRecord& r) {
+            a.Ingest(r);
+            p.Ingest(r);
+          });
     }
     drainer->Poll();
   };
@@ -586,20 +513,150 @@ TEST(LiveWorkloadTest, VistaDesktopLiveEqualsOfflineAndFlagsOutlookBurst) {
   EXPECT_GE(outlook->burst_peak_rate, 5000.0);
   EXPECT_GT(kernel->mean_rate, 900.0);
   EXPECT_LT(kernel->mean_rate, 1100.0);
-  // The pattern mix is live too: the desktop has periodic tickers and
-  // watchdog-style timers among its classified population.
-  uint64_t periodic = 0;
-  uint64_t watchdog = 0;
-  for (const auto& [name, count] : snap.patterns) {
-    if (name == std::string(UsagePatternName(UsagePattern::kPeriodic))) {
-      periodic = count;
+  // The pattern mix is live too, and it is Figure 2's: the offline rule
+  // over the desktop's call-site groups.
+  EXPECT_EQ(patterns.evictions(), 0u);
+  EXPECT_EQ(patterns.Mix(), OfflineMix(run.records));
+}
+
+// --- The usage-pattern mix: PatternTracker vs the offline ClassifyPass ---
+
+// Every workload, tapped live for two minutes the way tempotop taps it:
+// with the default capacity nothing is evicted, and the mix is exactly
+// ClassifyPass's group count per pattern over the recorded trace.
+class LivePatternWorkloadTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LivePatternWorkloadTest, MixEqualsOfflineClassify) {
+  const WorkloadEntry* workload = FindWorkload(GetParam());
+  ASSERT_NE(workload, nullptr);
+  RelayChannelSet channels;
+  PatternTracker patterns("");
+  std::unique_ptr<RelayDrainer> drainer;
+  LiveTapOptions tap;
+  tap.channels = &channels;
+  tap.poll = [&] {
+    if (drainer == nullptr) {
+      drainer = std::make_unique<RelayDrainer>(
+          &channels, [&p = patterns](const TraceRecord& r) { p.Ingest(r); });
     }
-    if (name == std::string(UsagePatternName(UsagePattern::kWatchdog))) {
-      watchdog = count;
+    drainer->Poll();
+  };
+  WorkloadOptions options;
+  options.duration = 2 * kMinute;
+  options.seed = 2008;
+  options.live = &tap;
+  TraceRun run = workload->run(options);
+  ASSERT_NE(drainer, nullptr);
+  channels.CloseAll();
+  drainer->Finish();
+  ASSERT_EQ(channels.size(), 1u);
+  EXPECT_EQ(channels.channel(0)->dropped(), 0u);
+
+  EXPECT_EQ(patterns.evictions(), 0u);
+  const auto offline = OfflineMix(run.records);
+  ASSERT_FALSE(offline.empty());
+  EXPECT_EQ(patterns.Mix(), offline);
+  uint64_t groups = 0;
+  for (const auto& [name, count] : offline) {
+    groups += count;
+  }
+  EXPECT_EQ(patterns.tracked(), groups);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, LivePatternWorkloadTest,
+                         ::testing::Values("linux-idle", "linux-skype", "linux-firefox",
+                                           "linux-webserver", "vista-idle", "vista-skype",
+                                           "vista-firefox", "vista-webserver",
+                                           "vista-desktop"),
+                         [](const ::testing::TestParamInfo<const char*>& workload) {
+                           std::string name = workload.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+// A time-ordered stream mixing Figure 2's idioms: a periodic ticker, a
+// watchdog, a timeout, per-call (kFlagDynamicAlloc) timers that cluster by
+// call site and thread, and random operations on a few dozen timers.
+std::vector<TraceRecord> PatternStream() {
+  std::vector<TraceRecord> records;
+  std::mt19937_64 rng(2008);
+  TimerId dynamic = 1000;
+  for (uint64_t tick = 0; tick < 6000; ++tick) {
+    const SimTime t = static_cast<SimTime>(tick) * 10 * kMillisecond;
+    if (tick % 10 == 0) {
+      if (tick > 0) {
+        records.push_back(Rec(t, TimerOp::kExpire, 0, 1));
+      }
+      records.push_back(Rec(t, TimerOp::kSet, 0, 1, 100 * kMillisecond));
+    }
+    if (tick % 30 == 5) {
+      records.push_back(Rec(t, TimerOp::kSet, 1, 2, 5 * kSecond));
+    }
+    if (tick % 50 == 7) {
+      records.push_back(Rec(t, TimerOp::kSet, 2, 3, kSecond));
+      records.push_back(Rec(t, TimerOp::kCancel, 2, 3));
+    }
+    if (tick % 20 == 3) {
+      // A fresh KTIMER per call: only the call site ties them together.
+      if (dynamic > 1000) {
+        TraceRecord cancel = Rec(t, TimerOp::kCancel, 3, dynamic);
+        cancel.flags = kFlagDynamicAlloc;
+        records.push_back(cancel);
+      }
+      TraceRecord set = Rec(t, TimerOp::kSet, 3, ++dynamic, 200 * kMillisecond);
+      set.flags = kFlagDynamicAlloc;
+      set.callsite = 9;
+      set.tid = 1;
+      records.push_back(set);
+    }
+    if (rng() % 3 == 0) {
+      const TimerOp ops[] = {TimerOp::kSet, TimerOp::kSet, TimerOp::kCancel,
+                             TimerOp::kExpire, TimerOp::kBlock, TimerOp::kInit};
+      const TimerOp op = ops[rng() % 6];
+      const TimerId timer = 100 + rng() % 40;
+      const SimDuration timeout = static_cast<SimDuration>(1 + rng() % 50) * kMillisecond;
+      records.push_back(Rec(t, op, 4, timer, timeout));
     }
   }
-  EXPECT_GT(periodic, 0u);
-  EXPECT_GT(watchdog, 0u);
+  return records;
+}
+
+// A fold that reaches its capacity starts over: it never holds more
+// episodes than the capacity, every group it drops is counted (in the obs
+// registry too), and after each reset the mix is ClassifyPass over the
+// records fed since.
+TEST(LivePatternTest, CapacityBoundsTheFoldAndCountsDroppedGroups) {
+  const std::vector<TraceRecord> records = PatternStream();
+  const std::span<const TraceRecord> all(records);
+  for (const size_t capacity : {size_t{1}, size_t{5}, size_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
+    const std::string label = "live-pattern-" + std::to_string(capacity);
+    PatternTracker patterns(label, capacity);
+    size_t since = 0;
+    size_t resets = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      const size_t groups_before = patterns.tracked();
+      const uint64_t evictions_before = patterns.evictions();
+      patterns.Ingest(records[i]);
+      if (patterns.evictions() != evictions_before) {
+        ++resets;
+        EXPECT_EQ(patterns.evictions() - evictions_before, groups_before);
+        since = i;
+      }
+      ASSERT_LE(patterns.episodes(), capacity);
+      ASSERT_EQ(patterns.Mix(), OfflineMix(all.subspan(since, i + 1 - since)))
+          << "after record " << i << ", " << resets << " resets";
+    }
+    EXPECT_GT(resets, 10u);
+
+    obs::Registry& registry = obs::Registry::Global();
+    const obs::Labels labels = {{"analyzer", label}};
+    EXPECT_EQ(registry.GetCounter("live_classifier_evictions", labels)->value(),
+              patterns.evictions());
+    patterns.SyncObs();
+    EXPECT_EQ(registry.GetGauge("live_classifier_tracked", labels)->value(),
+              static_cast<int64_t>(patterns.tracked()));
+  }
 }
 
 }  // namespace

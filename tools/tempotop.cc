@@ -2,16 +2,19 @@
 // its trace path and shows, while the simulation executes, what an
 // operator of the timer subsystem would want on a dashboard: the top-K
 // per-process set/expire/cancel rates (Figure 1 computed online), active
-// rate bursts (the Outlook watchdog storms), the streaming usage-pattern
+// rate bursts (the Outlook watchdog storms), firing slack, the usage-pattern
 // mix, relay-channel drop counters, and the obs metrics snapshot.
 //
 // The workload tees every recorded trace record into a relay channel; a
 // RelayDrainer polls that channel on a simulated-time cadence and feeds
-// the timestamp-ordered merge to a LiveAnalyzer (src/live). Nothing here
-// re-reads the recorded trace: every number on screen was computed online,
-// in bounded memory, from the drain path. The rate rings hold one slot per
-// --window of the run, at most 65536 (18 hours at the default 1 s); a
-// --minutes/--window pair that needs more exits 2.
+// the timestamp-ordered merge to a LiveAnalyzer, a SlackTracker and a
+// PatternTracker (src/live). Nothing here re-reads the recorded trace:
+// every number on screen was computed online, in bounded memory, from the
+// drain path. The rate rings hold one slot per --window of the run, at most
+// 65536 (18 hours at the default 1 s); a --minutes/--window pair that needs
+// more exits 2. The pattern mix is Figure 2's offline rule over the
+// call-site groups seen so far; its fold holds up to 4 Mi episodes, 30
+// minutes of the busiest workload, before it starts over.
 //
 //   workload: linux-{idle,skype,firefox,webserver},
 //             vista-{idle,skype,firefox,webserver,desktop}, or `service`
@@ -38,6 +41,7 @@
 #include "src/fleet/host_sim.h"
 #include "src/fleet/server.h"
 #include "src/live/live_analyzer.h"
+#include "src/live/pattern_tracker.h"
 #include "src/live/slack_tracker.h"
 #include "src/obs/probe.h"
 #include "src/obs/scrape_server.h"
@@ -93,20 +97,21 @@ void PrintSeries(std::FILE* out, const char* title,
 }
 
 void PrintText(std::FILE* out, const std::string& workload,
-               const live::LiveSnapshot& snap, RelayChannelSet* channels,
-               const std::string& latency_pane) {
+               const live::LiveSnapshot& snap, const live::PatternTracker& patterns,
+               RelayChannelSet* channels, const std::string& latency_pane) {
   std::fprintf(out, "tempotop — %s @ %.1fs (window %.3fs, %" PRIu64 " records)\n",
                workload.c_str(), ToSeconds(snap.now), ToSeconds(snap.window),
                snap.records);
   PrintSeries(out, "processes:", snap.processes);
   PrintSeries(out, "origins:", snap.origins);
-  if (!snap.patterns.empty()) {
+  const auto mix = patterns.Mix();
+  if (!mix.empty()) {
     std::fprintf(out, "patterns:");
-    for (const auto& [name, count] : snap.patterns) {
+    for (const auto& [name, count] : mix) {
       std::fprintf(out, " %s=%" PRIu64, name.c_str(), count);
     }
-    std::fprintf(out, "  (tracked %" PRIu64 ", evicted %" PRIu64 ")\n",
-                 snap.classifier_tracked, snap.classifier_evictions);
+    std::fprintf(out, "  (tracked %zu, evicted %" PRIu64 ")\n", patterns.tracked(),
+                 patterns.evictions());
   }
   if (!latency_pane.empty()) {
     std::fputs(latency_pane.c_str(), out);
@@ -163,8 +168,8 @@ void PrintJsonLatency(std::string* json, const SlackState& state) {
 }
 
 void PrintJson(std::FILE* out, const std::string& workload,
-               const live::LiveSnapshot& snap, RelayChannelSet* channels,
-               const SlackState& slack) {
+               const live::LiveSnapshot& snap, const live::PatternTracker& patterns,
+               RelayChannelSet* channels, const SlackState& slack) {
   std::string json = "{";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -178,19 +183,19 @@ void PrintJson(std::FILE* out, const std::string& workload,
   json += ",";
   PrintJsonSeries(&json, "origins", snap.origins);
   json += ",\"patterns\":{";
-  for (size_t i = 0; i < snap.patterns.size(); ++i) {
+  const auto mix = patterns.Mix();
+  for (size_t i = 0; i < mix.size(); ++i) {
     if (i > 0) {
       json += ",";
     }
-    std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64,
-                  snap.patterns[i].first.c_str(), snap.patterns[i].second);
+    std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64, mix[i].first.c_str(),
+                  mix[i].second);
     json += buf;
   }
   std::snprintf(buf, sizeof(buf),
-                "},\"classifier\":{\"tracked\":%" PRIu64 ",\"evictions\":%" PRIu64
+                "},\"classifier\":{\"tracked\":%zu,\"evictions\":%" PRIu64
                 "},\"windows_evicted\":%" PRIu64 ",\"relay\":[",
-                snap.classifier_tracked, snap.classifier_evictions,
-                snap.windows_evicted);
+                patterns.tracked(), patterns.evictions(), snap.windows_evicted);
   json += buf;
   for (size_t i = 0; i < channels->size(); ++i) {
     const RelayChannel* ch = channels->channel(i);
@@ -656,6 +661,7 @@ int main(int argc, char** argv) {
   RelayChannelSet channels;
   std::unique_ptr<live::LiveAnalyzer> analyzer;
   std::unique_ptr<live::SlackTracker> slack;
+  live::PatternTracker patterns;
   std::unique_ptr<RelayDrainer> drainer;
   LiveTapOptions tap;
   tap.channels = &channels;
@@ -676,9 +682,10 @@ int main(int argc, char** argv) {
     analyzer = std::make_unique<live::LiveAnalyzer>(live_options);
     slack = std::make_unique<live::SlackTracker>();
     drainer = std::make_unique<RelayDrainer>(
-        &channels, [&a = *analyzer, &s = *slack](const TraceRecord& r) {
+        &channels, [&a = *analyzer, &s = *slack, &p = patterns](const TraceRecord& r) {
           a.Ingest(r);
           s.Ingest(r);
+          p.Ingest(r);
         });
   };
 
@@ -704,7 +711,7 @@ int main(int argc, char** argv) {
     drainer->Poll();
     if (!once && analyzer->now() >= next_redraw) {
       live::LiveSnapshot snap = analyzer->TakeSnapshot(top_k);
-      PrintText(stdout, which, snap, &channels, latency_pane());
+      PrintText(stdout, which, snap, patterns, &channels, latency_pane());
       std::fprintf(stdout, "\n");
       next_redraw = analyzer->now() + FromSeconds(refresh_s);
     }
@@ -737,12 +744,13 @@ int main(int argc, char** argv) {
   drainer->Finish();
   analyzer->SyncObs();
   slack->SyncObs();
+  patterns.SyncObs();
 
   const live::LiveSnapshot snap = analyzer->TakeSnapshot(top_k);
   if (format == tools::OutputFormat::kJson) {
-    PrintJson(stdout, which, snap, &channels, slack->state());
+    PrintJson(stdout, which, snap, patterns, &channels, slack->state());
   } else {
-    PrintText(stdout, which, snap, &channels, latency_pane());
+    PrintText(stdout, which, snap, patterns, &channels, latency_pane());
     std::fputs("\nmetrics:\n", stdout);
     std::fputs(obs::RenderText(obs::Registry::Global().TakeSnapshot()).c_str(),
                stdout);
